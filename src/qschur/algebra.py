@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, gauss_binomial, quantum_factorial, quantum_int
+from .laurent import LaurentPoly, gauss_binomial
 
 EKF = "EKF"
 FKE = "FKE"
@@ -48,10 +48,6 @@ class Monomial:
         middle = self.b1 if self.orientation == EKF else self.b2
         return self.a + middle + self.c
 
-    @property
-    def height(self) -> int:
-        return self.a + self.c
-
     def sort_key(self) -> tuple[int, int, int]:
         return (self.a, self.b1, self.c)
 
@@ -62,7 +58,7 @@ class Monomial:
 
 
 class Context:
-    """Fixed degree d with its idempotent index set and binomial cache.
+    """Fixed degree d with its idempotent index set.
 
     Immutable after construction and safe to share across threads.  The
     ``unstraightened`` flag disables the reduction machinery; it exists only
@@ -86,9 +82,6 @@ class Context:
 
     def __repr__(self) -> str:
         return f"Context(d={self.d})"
-
-    def gauss_binomial(self, r: int, s: int) -> LaurentPoly:
-        return gauss_binomial(r, s)
 
     def check_pair(self, b1: int, b2: int) -> tuple[int, int]:
         if b1 < 0 or b2 < 0 or b1 + b2 != self.d:
@@ -127,6 +120,16 @@ def _check_orientation(orientation: str) -> None:
         raise ValueError(f"orientation must be {EKF!r} or {FKE!r}, got {orientation!r}")
 
 
+def _add_term(terms: dict[Monomial, LaurentPoly], m: Monomial, coeff: LaurentPoly) -> None:
+    """terms[m] += coeff, keeping no zero coefficients."""
+    prev = terms.get(m)
+    coeff = coeff if prev is None else prev + coeff
+    if coeff.is_zero:
+        terms.pop(m, None)
+    else:
+        terms[m] = coeff
+
+
 class Element:
     """A finite Z[v, v^-1]-linear combination of canonical monomials."""
 
@@ -148,12 +151,7 @@ class Element:
                 raise IndexOutOfRange(f"monomial {m} does not fit degree {ctx.d}")
             if not ctx.is_canonical(m):
                 raise IndexOutOfRange(f"monomial {m} is not canonical at degree {ctx.d}")
-            prev = acc.get(m)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero:
-                acc.pop(m, None)
-            else:
-                acc[m] = coeff
+            _add_term(acc, m, coeff)
         self.ctx = ctx
         self.orientation = orientation
         self.terms = acc
@@ -201,12 +199,7 @@ class Element:
         self._require_compatible(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            n = terms.get(m)
-            n = c if n is None else n + c
-            if n.is_zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = n
+            _add_term(terms, m, c)
         return self._raw(self.ctx, self.orientation, terms)
 
     def __neg__(self) -> Element:
@@ -249,10 +242,6 @@ class Element:
 # ---------------------------------------------------------------------------
 # Construction of distinguished elements
 # ---------------------------------------------------------------------------
-
-
-def context_new(d: int) -> Context:
-    return Context(d)
 
 
 def zero_element(ctx: Context, orientation: str = EKF) -> Element:
@@ -423,12 +412,14 @@ def reduce_monomial(
 
     terms: dict[Monomial, LaurentPoly] = {}
     for k in range(s, min(a, c) + 1):
-        assert k <= b2, "summation index escaped the idempotent range"
+        if k > b2:
+            raise RuntimeError("summation index escaped the idempotent range")
         coeff = gauss_binomial(k - 1, s - 1) * gauss_binomial(b1 + k, k)
         if (k - s) % 2:
             coeff = -coeff
         m = Monomial(a - k, b1 + k, b2 - k, c - k, EKF)
-        assert m.fake_degree <= ctx.d and min(m.a, m.b1, m.b2, m.c) >= 0
+        if m.fake_degree > ctx.d or min(m.a, m.b1, m.b2, m.c) < 0:
+            raise RuntimeError(f"straightening emitted the non-canonical monomial {m}")
         if not coeff.is_zero:
             terms[m] = coeff
     return Element(ctx, EKF, terms)
@@ -447,66 +438,70 @@ def monomial_element(
 
 
 def right_mul_generator(x: Element, gen: str) -> Element:
-    """The product x * g for a single generator g, x in the EKF basis.
-
-    For g = e the generator commutes leftward through f^(c) (picking up the
-    quantum-integer scalar -[b1-b2+c-1] from the commutator) and is absorbed
-    into e^(a) with factor [a+1]; for g = f it is absorbed directly into
-    f^(c) with factor [c+1] and the result straightened.  K-type generators
-    act by a monomial scalar on each term.
-    """
+    """The product x * g for a single generator g, x in the EKF basis."""
     if x.orientation != EKF:
         raise ContextMismatch("right multiplication operates on EKF elements")
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    ctx = x.ctx
-    if gen in ("K1", "K1inv", "K2", "K2inv"):
-        # Moving K past f^(c) scales by v^(+-c); on the idempotent it acts by
-        # v^(+-b_i).
-        sign = -1 if gen.endswith("inv") else 1
-        out: dict[Monomial, LaurentPoly] = {}
-        for m, coeff in x.terms.items():
-            exp = m.b1 + m.c if gen.startswith("K1") else m.b2 - m.c
-            out[m] = coeff * LaurentPoly.v(sign * exp)
-        return Element._raw(ctx, EKF, out)
-
-    result = zero_element(ctx)
-    for m, coeff in x.terms.items():
-        if gen == "e":
-            acc: dict[Monomial, LaurentPoly] = {}
-            if m.c >= 1:
-                scalar = -(coeff * quantum_int(m.b1 - m.b2 + m.c - 1))
-                if not scalar.is_zero:
-                    acc[Monomial(m.a, m.b1, m.b2, m.c - 1, EKF)] = scalar
-            if m.b1 >= 1:
-                mono = Monomial(m.a + 1, m.b1 - 1, m.b2 + 1, m.c, EKF)
-                scalar = coeff * quantum_int(m.a + 1)
-                prev = acc.get(mono)
-                scalar = scalar if prev is None else prev + scalar
-                if not scalar.is_zero:
-                    acc[mono] = scalar
-            result = result + Element._raw(ctx, EKF, acc)
-        else:
-            reduced = reduce_monomial(ctx, (m.a, m.b1, m.b2, m.c + 1), EKF)
-            result = result + reduced.scale(coeff * quantum_int(m.c + 1))
-    return result
+    make = generator_element if gen in ("e", "f") else k_element
+    return multiply(x, make(x.ctx, gen))
 
 
 def right_mul_idempotent(x: Element, pair: tuple[int, int]) -> Element:
-    """The product x * K[b1',b2'].
-
-    Commuting K[b1',b2'] leftward past f^(c) turns it into K[b1'-c,b2'+c];
-    orthogonality then keeps exactly the terms with b1 + c = b1'.
-    """
+    """The product x * K[b1',b2'], x in the EKF basis."""
     if x.orientation != EKF:
         raise ContextMismatch("right multiplication operates on EKF elements")
-    b1p, b2p = x.ctx.check_pair(*pair)
-    kept = {m: coeff for m, coeff in x.terms.items() if m.b1 + m.c == b1p}
-    return Element._raw(x.ctx, EKF, kept)
+    return multiply(x, idempotent_element(x.ctx, *pair))
+
+
+def _fe_binomial(c: int, a: int, weight: int, t: int) -> LaurentPoly:
+    """The t-th coefficient of the divided-power commutation formula of U_v(gl_2).
+
+    With 1_weight the idempotent on which K acts by v^weight, f^(c) e^(a)
+    1_weight is the sum over t of [c-a-weight; t] e^(a-t) f^(c-t) 1_weight
+    (Lusztig, *Introduction to Quantum Groups*, section 3.1).
+    """
+    return gauss_binomial(c - a - weight, t)
+
+
+def _add_monomial_product(
+    ctx: Context,
+    m: Monomial,
+    n: Monomial,
+    scalar: LaurentPoly,
+    terms: dict[Monomial, LaurentPoly],
+) -> None:
+    """Add scalar * m * n to ``terms`` for EKF monomials with m.b1 + m.c == n.b1 + n.a.
+
+    (e^(a) K[b1,b2] f^(c)) (e^(a') K[b1',b2'] f^(c')) is the sum over t of
+    [c-a'-w; t] [a+a'-t; a] [c+c'-t; c'] e^(a+a'-t) K[b1'-c+t, b2'+c-t] f^(c+c'-t)
+    with w = b1' - b2': the middle f^(c) e^(a') commutes by :func:`_fe_binomial`,
+    and the adjacent divided powers merge.  Terms whose idempotent index would
+    be negative vanish; the rest are straightened by :func:`reduce_monomial`.
+    """
+    weight = n.b1 - n.b2
+    for t in range(max(0, m.c - n.b1), min(m.c, n.a) + 1):
+        coeff = (
+            _fe_binomial(m.c, n.a, weight, t)
+            * gauss_binomial(m.a + n.a - t, m.a)
+            * gauss_binomial(m.c + n.c - t, n.c)
+        )
+        if coeff.is_zero:
+            continue
+        coeff = coeff * scalar
+        b1 = n.b1 - m.c + t
+        quad = (m.a + n.a - t, b1, ctx.d - b1, m.c + n.c - t)
+        for mono, r in reduce_monomial(ctx, quad, EKF).terms.items():
+            _add_term(terms, mono, r * coeff)
 
 
 def multiply(x: Element, y: Element) -> Element:
-    """The product x * y, computed term by term through the EKF engine."""
+    """The product x * y, summed term by term with the closed-form monomial product.
+
+    A pair of EKF monomials e^(a) K[b1,b2] f^(c) and e^(a') K[b1',b2'] f^(c')
+    multiplies to zero unless b1 + c = b1' + a', since the idempotents are
+    orthogonal; no binomial is computed for such a pair.
+    """
     if x.ctx != y.ctx:
         raise ContextMismatch(f"contexts differ: d={x.ctx.d} vs d={y.ctx.d}")
     if x.orientation != y.orientation:
@@ -516,27 +511,12 @@ def multiply(x: Element, y: Element) -> Element:
         ey = _relabel(y, EKF)
         return _relabel(multiply(ex, ey), FKE)
 
-    result = zero_element(x.ctx)
-    # Incrementally build x * e^k once per needed power; each y-term then
-    # branches off with its own idempotent and f-steps.
-    e_chain = {0: x}
-    for m, coeff in y.sorted_terms():
-        if m.a not in e_chain:
-            top = max(e_chain)
-            t = e_chain[top]
-            for k in range(top + 1, m.a + 1):
-                t = right_mul_generator(t, "e")
-                e_chain[k] = t
-        t = e_chain[m.a]
-        if m.a > 1:
-            t = t.exact_div_scalar(quantum_factorial(m.a))
-        t = right_mul_idempotent(t, (m.b1, m.b2))
-        for _ in range(m.c):
-            t = right_mul_generator(t, "f")
-        if m.c > 1:
-            t = t.exact_div_scalar(quantum_factorial(m.c))
-        result = result + t.scale(coeff)
-    return result
+    terms: dict[Monomial, LaurentPoly] = {}
+    for m, u in x.terms.items():
+        for n, w in y.terms.items():
+            if m.b1 + m.c == n.b1 + n.a:
+                _add_monomial_product(x.ctx, m, n, u * w, terms)
+    return Element._raw(x.ctx, EKF, terms)
 
 
 def _relabel(x: Element, target: str) -> Element:
@@ -556,45 +536,34 @@ def _relabel(x: Element, target: str) -> Element:
 # ---------------------------------------------------------------------------
 
 
-def _expand_mixed_word(ctx: Context, a: int, pair: tuple[int, int], c: int) -> Element:
-    """The word f^(a) K[b1,b2] e^(c) expanded in the EKF basis."""
-    t = identity_element(ctx)
-    for _ in range(a):
-        t = right_mul_generator(t, "f")
-    if a > 1:
-        t = t.exact_div_scalar(quantum_factorial(a))
-    t = right_mul_idempotent(t, pair)
-    for _ in range(c):
-        t = right_mul_generator(t, "e")
-    if c > 1:
-        t = t.exact_div_scalar(quantum_factorial(c))
-    return t
+def _fke_to_ekf(x: Element) -> Element:
+    """An FKE-basis element expanded in the EKF basis.
+
+    f^(a) K[b1,b2] e^(c) is zero when b1 < a or b1 < c; otherwise it is the
+    product of the EKF basis monomials K[b1-a,b2+a] f^(a) and e^(c) K[b1-c,b2+c].
+    """
+    terms: dict[Monomial, LaurentPoly] = {}
+    for m, coeff in x.terms.items():
+        if m.b1 >= m.a and m.b1 >= m.c:
+            left = Monomial(0, m.b1 - m.a, m.b2 + m.a, m.a, EKF)
+            right = Monomial(m.c, m.b1 - m.c, m.b2 + m.c, 0, EKF)
+            _add_monomial_product(x.ctx, left, right, coeff, terms)
+    return Element._raw(x.ctx, EKF, terms)
 
 
 def convert_orientation(x: Element, target: str) -> Element:
     """Express the same algebra element in the other canonical basis.
 
-    Each source monomial is multiplied out as a generator word through the
-    EKF engine; for FKE targets the symmetry automorphism reduces the
-    computation to the EKF case.
+    For FKE targets the symmetry automorphism reduces the computation to the
+    EKF case: it carries x to an FKE-basis element, whose EKF expansion
+    carried back gives x's FKE coordinates.
     """
     _check_orientation(target)
     if x.orientation == target:
         return x
-    ctx = x.ctx
-    result = zero_element(ctx, target)
     if target == EKF:
-        # x = sum u * f^(a) K[b1,b2] e^(c); expand each word directly.
-        for m, coeff in x.terms.items():
-            word = _expand_mixed_word(ctx, m.a, (m.b1, m.b2), m.c)
-            result = result + word.scale(coeff)
-        return result
-    # target == FKE: the swapped word expands in EKF; swapping the expansion
-    # back yields the original monomial's FKE coordinates.
-    for m, coeff in x.terms.items():
-        word = _expand_mixed_word(ctx, m.a, (m.b2, m.b1), m.c)
-        result = result + _relabel(word, FKE).scale(coeff)
-    return result
+        return _fke_to_ekf(x)
+    return _relabel(_fke_to_ekf(_relabel(x, FKE)), FKE)
 
 
 def _kbinom_expansion(ctx: Context, base: str, b: int) -> dict[int, LaurentPoly]:
@@ -698,7 +667,8 @@ def change_to_kbinom_basis(x: Element) -> dict[tuple[int, int, int], LaurentPoly
                 residual.pop(m, None)
             else:
                 residual[m] = n
-    assert not residual, "peeling left a nonzero residual; triangularity is broken"
+    if residual:
+        raise RuntimeError("peeling left a nonzero residual; triangularity is broken")
     return out
 
 
@@ -723,10 +693,5 @@ def random_element(
         coeff = LaurentPoly(
             {rng.randint(-coeff_span, coeff_span): rng.choice([-2, -1, 1, 2])}
         )
-        prev = terms.get(m)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff.is_zero:
-            terms.pop(m, None)
-        else:
-            terms[m] = coeff
+        _add_term(terms, m, coeff)
     return Element(ctx, orientation, terms)

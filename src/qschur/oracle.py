@@ -312,7 +312,8 @@ def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
     """The image of K[b1,b2]: a 0/1 diagonal projector onto a weight space."""
     proj = diagonal_kbinom(rep.k1, 0, b1) * diagonal_kbinom(rep.k2, 0, b2)
     for (r, c), val in proj.entries.items():
-        assert r == c and val == LaurentPoly.one(), "idempotent image is not a 0/1 projector"
+        if r != c or val != LaurentPoly.one():
+            raise RuntimeError("idempotent image is not a 0/1 projector")
     return proj
 
 

@@ -29,10 +29,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-def format_laurent(p: LaurentPoly) -> str:
-    return str(p)
-
-
 def format_element(x: Element) -> str:
     """Canonical text form: terms sorted by (a, b1, c), joined with ' + '."""
     if x.is_zero:
@@ -163,17 +159,35 @@ def element_to_json(x: Element) -> dict:
     }
 
 
+def _json_int(obj, key: str, where: str) -> int:
+    try:
+        return int(obj[key])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"{where} needs an integer {key!r}", 0) from None
+
+
 def element_from_json(data: dict, ctx: Context | None = None) -> Element:
+    """Build an element from the JSON object form; a malformed object raises ParseError."""
+    d = _json_int(data, "d", "JSON element")
     if ctx is None:
-        ctx = Context(int(data["d"]))
-    elif ctx.d != int(data["d"]):
-        raise ParseError(f"element degree {data['d']} does not match context d={ctx.d}", 0)
+        ctx = Context(d)
+    elif ctx.d != d:
+        raise ParseError(f"element degree {d} does not match context d={ctx.d}", 0)
     orientation = data.get("orientation", EKF)
     if orientation not in (EKF, FKE):
         raise ParseError(f"bad orientation {orientation!r}", 0)
+    terms = data.get("terms")
+    if not isinstance(terms, list):
+        raise ParseError("JSON element needs a 'terms' list", 0)
     result = zero_element(ctx, orientation)
-    for t in data["terms"]:
-        quad = (int(t["a"]), int(t["b1"]), int(t["b2"]), int(t["c"]))
-        coeff = LaurentPoly.from_json(t["coeff"])
+    for i, t in enumerate(terms):
+        where = f"JSON term {i}"
+        quad = tuple(_json_int(t, key, where) for key in ("a", "b1", "b2", "c"))
+        try:
+            coeff = LaurentPoly.from_json(t["coeff"])
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(
+                f"{where} needs a 'coeff' list of [exponent, coefficient] pairs", 0
+            ) from None
         result = result + reduce_monomial(ctx, quad, orientation).scale(coeff)
     return result

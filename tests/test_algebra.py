@@ -33,7 +33,9 @@ from qschur.algebra import (
     right_mul_idempotent,
     zero_element,
 )
-from qschur.laurent import LaurentPoly, gauss_binomial, quantum_int
+from qschur import algebra
+from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial, quantum_int
+from qschur.suites import run_suite
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -213,6 +215,33 @@ def test_multiply_examples_at_degree_one():
     assert multiply(x, x).is_zero  # e^2 = 0 at d = 1
 
 
+def test_zero_product_at_large_degree_computes_no_binomial():
+    # e^(200) K[0,400] ends in weight K[0,400]; K[200,200] f^(150) starts in
+    # K[200,200], so the idempotents are orthogonal and the product is zero.
+    ctx = Context(400)
+    x = unit(ctx, 200, 0, 0)
+    y = unit(ctx, 0, 200, 150)
+    factorials = quantum_factorial.cache_info()
+    binomials = gauss_binomial.cache_info()
+    assert multiply(x, y).is_zero
+    assert quantum_factorial.cache_info() == factorials
+    assert gauss_binomial.cache_info() == binomials
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_product_formula_sign_is_caught_by_the_suites(monkeypatch, d):
+    # Writing +weight where the commutation binomial has -weight must fail
+    # both the symbolic relations and the oracle homomorphism check.
+    for name in ("relations", "oracle"):
+        assert run_suite(name, d)["pass"]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            algebra, "_fe_binomial", lambda c, a, weight, t: gauss_binomial(c - a + weight, t)
+        )
+        for name in ("relations", "oracle"):
+            assert not run_suite(name, d)["pass"], name
+
+
 def test_multiply_rejects_mismatches():
     x = identity_element(Context(1))
     y = identity_element(Context(2))
@@ -331,6 +360,14 @@ def test_change_basis_unitriangular():
             assert expansion.coefficient(Monomial(a, b, d - b, c, EKF)) == ONE
             for m in expansion.terms:
                 assert position[(m.a, m.b1, m.c)] >= i
+
+
+def test_change_to_kbinom_basis_raises_on_a_broken_triangle(monkeypatch):
+    ctx = Context(2)
+    x = unit(ctx, 1, 0, 1)
+    monkeypatch.setattr(algebra, "_kbinom_unit", lambda ctx, a, b, c: zero_element(ctx))
+    with pytest.raises(RuntimeError, match="residual"):
+        change_to_kbinom_basis(x)
 
 
 def test_change_from_accepts_out_of_range():

@@ -60,6 +60,22 @@ def test_multiply_degree_mismatch(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "operand",
+    [
+        '{"d": 1}',
+        '{"d": 1, "terms": [{"a": 0, "b2": 1, "c": 0, "coeff": [[0, "1"]]}]}',
+        '{"d": 1, "terms": [{"a": 0, "b1": 0, "b2": 1, "c": 0, "coeff": 5}]}',
+    ],
+    ids=["missing-terms", "term-without-b1", "integer-coeff"],
+)
+def test_malformed_json_operand_is_a_usage_error(capsys, operand):
+    code, out, err = run(capsys, "multiply", "--d", "1", "--lhs", operand, "--rhs", "K[1,0]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reduce_command(capsys):
     code, out, _ = run(capsys, "reduce", "--d", "2", "--monomial", "1,1,1,1")
     assert code == 0

@@ -4,6 +4,7 @@ import pytest
 
 from qschur.algebra import EKF, FKE, Context, Element, Monomial, identity_element, multiply, zero_element
 from qschur.laurent import LaurentPoly
+from qschur import oracle
 from qschur.oracle import (
     CoproductCheckFailed,
     DimensionLimit,
@@ -209,3 +210,12 @@ def test_homomorphism_on_random_products():
             assert matrix_of_element(rep, multiply(x, y)) == matrix_of_element(
                 rep, x
             ) * matrix_of_element(rep, y)
+
+
+def test_idempotent_projector_raises_on_a_non_projector(monkeypatch):
+    rep = build_rep(2)
+    monkeypatch.setattr(
+        oracle, "diagonal_kbinom", lambda matrix, c, t: LaurentMatrix.identity(rep.dim).scale(2)
+    )
+    with pytest.raises(RuntimeError, match="projector"):
+        idempotent_projector(rep, 1, 1)
