@@ -60,9 +60,12 @@ class Monomial:
 class Context:
     """Fixed degree d with its idempotent index set.
 
-    Immutable after construction and safe to share across threads.  The
-    ``unstraightened`` flag disables the reduction machinery; it exists only
-    so verification suites can prove they would catch a faulty build.
+    Immutable after construction apart from a memo of the canonical basis
+    per orientation, and safe to share across threads: the basis is a pure
+    function of the context and the orientation, so a duplicate fill from
+    two threads is harmless.  The ``unstraightened`` flag disables the
+    reduction machinery; it exists only so verification suites can prove
+    they would catch a faulty build.
     """
 
     def __init__(self, d: int, *, unstraightened: bool = False):
@@ -71,6 +74,7 @@ class Context:
         self.d = d
         self.idempotents = [(b1, d - b1) for b1 in range(d + 1)]
         self.unstraightened = unstraightened
+        self._basis: dict[str, tuple[Monomial, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Context):
@@ -103,16 +107,22 @@ class Context:
         return m.fake_degree <= self.d
 
     def monomials(self, orientation: str = EKF) -> list[Monomial]:
-        """The canonical basis, ordered lexicographically by (a, b1, c)."""
-        _check_orientation(orientation)
-        out = []
-        for a in range(self.d + 1):
-            for b1 in range(self.d + 1):
-                for c in range(self.d + 1):
-                    m = Monomial(a, b1, self.d - b1, c, orientation)
-                    if self.is_canonical(m):
-                        out.append(m)
-        return out
+        """The canonical basis, ordered lexicographically by (a, b1, c).
+
+        Each call returns a fresh list, so callers may mutate it.
+        """
+        basis = self._basis.get(orientation)
+        if basis is None:
+            _check_orientation(orientation)
+            out = []
+            for a in range(self.d + 1):
+                for b1 in range(self.d + 1):
+                    for c in range(self.d + 1):
+                        m = Monomial(a, b1, self.d - b1, c, orientation)
+                        if self.is_canonical(m):
+                            out.append(m)
+            basis = self._basis[orientation] = tuple(out)
+        return list(basis)
 
 
 def _check_orientation(orientation: str) -> None:
@@ -296,10 +306,11 @@ def divided_power_element(ctx: Context, gen: str, m: int, orientation: str = EKF
         raise ValueError(f"generator must be 'e' or 'f', got {gen!r}")
     if m < 0:
         raise IndexOutOfRange("divided-power exponent must be nonnegative")
+    outer = "e" if orientation == EKF else "f"
     one = LaurentPoly.one()
     terms = {}
     for b1, b2 in ctx.idempotents:
-        if gen == "e":
+        if gen == outer:
             mono = Monomial(m, b1, b2, 0, orientation)
         else:
             mono = Monomial(0, b1, b2, m, orientation)

@@ -163,13 +163,32 @@ class LaurentMatrix:
         )
 
 
+def _from_cells(dim: int, cells: dict[tuple[int, int], dict[int, int]]) -> LaurentMatrix:
+    """The matrix whose entries are the raw {exponent: coefficient} cells.
+
+    Zero coefficients, and cells left empty by them, are dropped here once,
+    so that no zero entry is ever stored and ``==`` can compare entry maps.
+    """
+    entries = {}
+    for key, cell in cells.items():
+        terms = {e: c for e, c in cell.items() if c}
+        if terms:
+            val = entries[key] = LaurentPoly.__new__(LaurentPoly)
+            val._terms = terms
+    out = LaurentMatrix.__new__(LaurentMatrix)
+    out.dim = dim
+    out.entries = entries
+    return out
+
+
 @dataclass
 class OracleRep:
     """Exact generator matrices on the degree-d tensor power.
 
-    Immutable after construction apart from the divided-power cache, whose
-    entries are pure functions of (gen, m); a concurrent duplicate fill is
-    benign.
+    Immutable after construction apart from ``_dp_cache``, which holds the
+    divided powers keyed by (gen, m) and the idempotent projectors keyed by
+    ("K", b1, b2).  Each entry is a pure function of its key, so a
+    concurrent duplicate fill is benign.
     """
 
     d: int
@@ -309,11 +328,19 @@ def diagonal_kbinom(matrix: LaurentMatrix, c: int, t: int) -> LaurentMatrix:
 
 
 def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
-    """The image of K[b1,b2]: a 0/1 diagonal projector onto a weight space."""
+    """The image of K[b1,b2]: a 0/1 diagonal projector onto a weight space.
+
+    Built and checked once per representation, then served from its cache.
+    """
+    key = ("K", b1, b2)
+    cached = rep._dp_cache.get(key)
+    if cached is not None:
+        return cached
     proj = diagonal_kbinom(rep.k1, 0, b1) * diagonal_kbinom(rep.k2, 0, b2)
     for (r, c), val in proj.entries.items():
         if r != c or val != LaurentPoly.one():
             raise RuntimeError("idempotent image is not a 0/1 projector")
+    rep._dp_cache[key] = proj
     return proj
 
 
@@ -321,7 +348,7 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
     """Evaluate a symbolic element to its matrix."""
     if x.ctx.d != rep.d:
         raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
-    total = LaurentMatrix(rep.dim)
+    cells: dict[tuple[int, int], dict[int, int]] = {}
     outer, inner = ("e", "f") if x.orientation == EKF else ("f", "e")
     for m, coeff in x.terms.items():
         word = (
@@ -329,8 +356,16 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
             * idempotent_projector(rep, m.b1, m.b2)
             * matrix_of_divided_power(rep, inner, m.c)
         )
-        total = total + word.scale(coeff)
-    return total
+        scalar = coeff._terms.items()
+        for key, val in word.entries.items():
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = {}
+            for e1, c1 in val._terms.items():
+                for e2, c2 in scalar:
+                    e = e1 + e2
+                    cell[e] = cell.get(e, 0) + c1 * c2
+    return _from_cells(rep.dim, cells)
 
 
 def oracle_equal(rep: OracleRep, x: Element, y: Element) -> bool:

@@ -159,11 +159,42 @@ def element_to_json(x: Element) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; bools and floats are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(obj, key: str, where: str) -> int:
-    try:
-        return int(obj[key])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{where} needs an integer {key!r}", 0) from None
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not _is_int(value):
+        raise ParseError(f"{where} needs an integer {key!r}", 0)
+    return value
+
+
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _json_coeff(obj, where: str) -> LaurentPoly:
+    """A 'coeff' list of [exponent, coefficient] pairs of integers; the
+    coefficient may also be a decimal-integer string, as written by
+    :func:`element_to_json`."""
+    error = ParseError(
+        f"{where} needs a 'coeff' list of [exponent, coefficient] integer pairs", 0
+    )
+    pairs = obj.get("coeff") if isinstance(obj, dict) else None
+    if not isinstance(pairs, list):
+        raise error
+    terms = []
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise error
+        exp, coeff = pair
+        if isinstance(coeff, str) and _DECIMAL_RE.fullmatch(coeff):
+            coeff = int(coeff)
+        if not (_is_int(exp) and _is_int(coeff)):
+            raise error
+        terms.append((exp, coeff))
+    return LaurentPoly(terms)
 
 
 def element_from_json(data: dict, ctx: Context | None = None) -> Element:
@@ -183,11 +214,6 @@ def element_from_json(data: dict, ctx: Context | None = None) -> Element:
     for i, t in enumerate(terms):
         where = f"JSON term {i}"
         quad = tuple(_json_int(t, key, where) for key in ("a", "b1", "b2", "c"))
-        try:
-            coeff = LaurentPoly.from_json(t["coeff"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(
-                f"{where} needs a 'coeff' list of [exponent, coefficient] pairs", 0
-            ) from None
+        coeff = _json_coeff(t, where)
         result = result + reduce_monomial(ctx, quad, orientation).scale(coeff)
     return result

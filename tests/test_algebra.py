@@ -60,6 +60,18 @@ def test_context_rejects_negative_degree():
         Context(-1)
 
 
+def test_context_monomials_are_memoised_as_fresh_lists():
+    ctx = Context(3)
+    for orientation in (EKF, FKE):
+        first = ctx.monomials(orientation)
+        assert ctx.monomials(orientation) == first
+        assert ctx.monomials(orientation) is not first
+        first.clear()
+        assert len(ctx.monomials(orientation)) == 20
+    with pytest.raises(ValueError):
+        ctx.monomials("KEF")
+
+
 def test_element_keys_are_validated():
     ctx = Context(1)
     with pytest.raises(IndexOutOfRange):
@@ -437,6 +449,18 @@ def test_associativity_sample():
 
 
 # -- degenerate degree ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_fke_divided_powers_are_the_named_generator(d):
+    from qschur.oracle import build_rep, matrix_of_divided_power, matrix_of_element
+
+    ctx, rep = Context(d), build_rep(d)
+    for gen in ("e", "f"):
+        for m in range(d + 2):
+            x = divided_power_element(ctx, gen, m, FKE)
+            assert matrix_of_element(rep, x) == matrix_of_divided_power(rep, gen, m)
+            assert x == convert_orientation(divided_power_element(ctx, gen, m), FKE)
 
 
 def test_degree_zero_degenerates_gracefully():

@@ -66,14 +66,35 @@ def test_multiply_degree_mismatch(tmp_path, capsys):
         '{"d": 1}',
         '{"d": 1, "terms": [{"a": 0, "b2": 1, "c": 0, "coeff": [[0, "1"]]}]}',
         '{"d": 1, "terms": [{"a": 0, "b1": 0, "b2": 1, "c": 0, "coeff": 5}]}',
+        '{"d": 1, "terms": [{"a": 0, "b1": 1, "b2": 0, "c": 0, "coeff": ["12"]}]}',
+        '{"d": 1, "terms": [{"a": 0.9, "b1": 1.5, "b2": 0, "c": 0, "coeff": [[0, "1"]]}]}',
+        '{"d": 1, "terms": [{"a": 0, "b1": 1, "b2": 0, "c": 0, "coeff": [[0, 2.7]]}]}',
+        '{"d": 1, "terms": [{"a": false, "b1": true, "b2": 0, "c": 0, "coeff": [[0, 1]]}]}',
+        '{"d": 1, "terms": [{"a": 0, "b1": 1, "b2": 0, "c": 0, "coeff": [[0, "2", 1]]}]}',
     ],
-    ids=["missing-terms", "term-without-b1", "integer-coeff"],
+    ids=[
+        "missing-terms",
+        "term-without-b1",
+        "integer-coeff",
+        "string-coeff-term",
+        "float-indices",
+        "float-coefficient",
+        "bool-indices",
+        "three-element-coeff-term",
+    ],
 )
 def test_malformed_json_operand_is_a_usage_error(capsys, operand):
     code, out, err = run(capsys, "multiply", "--d", "1", "--lhs", operand, "--rhs", "K[1,0]")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_json_operand_accepts_integer_and_decimal_string_coefficients(capsys):
+    operand = '{"d": 1, "terms": [{"a": 0, "b1": 1, "b2": 0, "c": 0, "coeff": [[0, "-3"], [1, 2]]}]}'
+    code, out, _ = run(capsys, "multiply", "--d", "1", "--lhs", operand, "--rhs", "K[1,0]")
+    assert code == 0
+    assert out.strip() == "(2v - 3) * K[1,0]"
 
 
 def test_reduce_command(capsys):

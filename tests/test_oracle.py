@@ -1,10 +1,14 @@
 """The tensor-power representation and its verification machinery."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qschur.algebra import EKF, FKE, Context, Element, Monomial, identity_element, multiply, zero_element
 from qschur.laurent import LaurentPoly
-from qschur import oracle
+from qschur import oracle, suites
 from qschur.oracle import (
     CoproductCheckFailed,
     DimensionLimit,
@@ -213,9 +217,125 @@ def test_homomorphism_on_random_products():
 
 
 def test_idempotent_projector_raises_on_a_non_projector(monkeypatch):
+    # A fresh representation, so no cached projector can skip the check.
     rep = build_rep(2)
+    assert ("K", 1, 1) not in rep._dp_cache
     monkeypatch.setattr(
         oracle, "diagonal_kbinom", lambda matrix, c, t: LaurentMatrix.identity(rep.dim).scale(2)
     )
     with pytest.raises(RuntimeError, match="projector"):
         idempotent_projector(rep, 1, 1)
+
+
+def test_idempotent_projector_is_cached_per_representation():
+    rep = build_rep(2)
+    first = idempotent_projector(rep, 1, 1)
+    assert idempotent_projector(rep, 1, 1) is first
+    other = build_rep(2)
+    assert idempotent_projector(other, 1, 1) is not first
+    assert idempotent_projector(other, 1, 1) == first
+
+
+# -- matrix_of_element's raw accumulation against a sum of matrices ----------
+
+
+def reference_matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
+    """The element's matrix as a plain sum of scaled word matrices, built
+    with LaurentMatrix + and scale, which the raw accumulation must equal."""
+    total = LaurentMatrix(rep.dim)
+    outer, inner = ("e", "f") if x.orientation == EKF else ("f", "e")
+    for m, coeff in x.terms.items():
+        word = (
+            matrix_of_divided_power(rep, outer, m.a)
+            * idempotent_projector(rep, m.b1, m.b2)
+            * matrix_of_divided_power(rep, inner, m.c)
+        )
+        total = total + word.scale(coeff)
+    return total
+
+
+def stores_no_zero(m: LaurentMatrix) -> bool:
+    return all(val and all(val._terms.values()) for val in m.entries.values())
+
+
+# Small exponent and coefficient ranges make partial cancellation common.
+polys = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def matrix_pairs(draw):
+    dim = draw(st.integers(1, 5))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    a, b = (
+        LaurentMatrix(dim, draw(st.dictionaries(cells, polys, max_size=dim * dim)))
+        for _ in range(2)
+    )
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_product_cancelling_to_zero_stores_nothing(pair):
+    # [A A] times [B; -B] is AB - AB: every cell cancels exactly.
+    a, b = pair
+    n = a.dim
+    left = LaurentMatrix(
+        2 * n, [((r, k + s), v) for (r, k), v in a.entries.items() for s in (0, n)]
+    )
+    right = LaurentMatrix(
+        2 * n,
+        [((k, c), v) for (k, c), v in b.entries.items()]
+        + [((k + n, c), -v) for (k, c), v in b.entries.items()],
+    )
+    assert (left * right).entries == {}
+
+
+@lru_cache(maxsize=None)
+def rep_of(d: int) -> OracleRep:
+    return build_rep(d)
+
+
+@st.composite
+def elements(draw):
+    d = draw(st.integers(0, 3))
+    orientation = draw(st.sampled_from((EKF, FKE)))
+    ctx = Context(d)
+    basis = ctx.monomials(orientation)
+    terms = draw(st.lists(st.tuples(st.sampled_from(basis), polys), max_size=4))
+    return Element(ctx, orientation, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements())
+# The word entry v^2 + 1 times 1 - v^2 cancels inside one cell.
+@example(Element(Context(3), EKF, {Monomial(1, 1, 2, 1, EKF): ONE - V(2)}))
+def test_matrix_of_element_matches_reference(x):
+    rep = rep_of(x.ctx.d)
+    got = matrix_of_element(rep, x)
+    assert got == reference_matrix_of_element(rep, x)
+    assert stores_no_zero(got)
+    assert got.is_zero == x.is_zero  # the tensor representation is faithful
+
+
+def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
+    # Dropping the top exponent of one multi-term cell per matrix_of_element
+    # call must fail the suites that evaluate elements, while the healthy
+    # build passes them.
+    ctx, rep = Context(2), build_rep(2)
+    for suite in (suites.suite_relations, suites.suite_reduction):
+        assert all(c["pass"] for c in suite(2, ctx, rep))
+    healthy = oracle._from_cells
+
+    def one_wrong_cell(dim, cells):
+        for cell in cells.values():
+            live = [e for e, c in cell.items() if c]
+            if len(live) > 1:
+                del cell[max(live)]
+                break
+        return healthy(dim, cells)
+
+    monkeypatch.setattr(oracle, "_from_cells", one_wrong_cell)
+    # The representation is built before the fault, so the suites' own
+    # checks, not the build's self-check, must catch it.
+    for suite in (suites.suite_relations, suites.suite_reduction):
+        assert not all(c["pass"] for c in suite(2, ctx, rep))
