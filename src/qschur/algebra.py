@@ -15,8 +15,8 @@ the algebra automorphism that swaps e with f and K1 with K2.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly, gauss_binomial
 

@@ -10,9 +10,9 @@ caches.  Rational values (from evaluating at a point) are plain
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 
 # Evaluation results are exact rationals; Fraction already guarantees the

@@ -11,10 +11,11 @@ algebra is checked against these matrices with exact arithmetic.
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .algebra import EKF, ContextMismatch, Element
+from .algebra import EKF, ContextMismatch, Element, Monomial
 from .laurent import LaurentPoly, gauss_binomial, quantum_int
 
 DEFAULT_MAX_D = 10
@@ -32,7 +33,7 @@ class CoproductCheckFailed(RuntimeError):
 class LaurentMatrix:
     """A sparse square matrix with Laurent polynomial entries."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "__weakref__")
 
     def __init__(
         self,
@@ -141,8 +142,8 @@ class LaurentMatrix:
         to be diagonal with unit monomial entries."""
         out = []
         for i in range(self.dim):
-            val = self.entries.get((i, i), LaurentPoly.zero())
-            if len(val) != 1 or val.coefficient(val.degree()) != 1:
+            val = self.entries.get((i, i))
+            if val is None or len(val) != 1 or val.coefficient(val.degree()) != 1:
                 raise ValueError("matrix is not diagonal with monomial entries")
             out.append(val.degree())
         if len(self.entries) != self.dim:
@@ -185,10 +186,16 @@ def _from_cells(dim: int, cells: dict[tuple[int, int], dict[int, int]]) -> Laure
 class OracleRep:
     """Exact generator matrices on the degree-d tensor power.
 
-    Immutable after construction apart from ``_dp_cache``, which holds the
-    divided powers keyed by (gen, m) and the idempotent projectors keyed by
-    ("K", b1, b2).  Each entry is a pure function of its key, so a
-    concurrent duplicate fill is benign.
+    Immutable after construction apart from two caches.  ``_dp_cache``
+    holds the divided powers keyed by (gen, m) and the idempotent
+    projectors keyed by ("K", b1, b2).  ``_words`` is a weak memo of the
+    word matrices outer^(a) K[b1,b2] inner^(c), keyed by
+    (outer, a, b1, b2, c): a word stays in it only while some caller still
+    holds it, so the memo never keeps a matrix alive by itself.  Each entry
+    is a pure function of its key, so a concurrent duplicate fill is benign.
+
+    Matrices handed out by this module, cached ones included, are shared:
+    treat them and their ``entries`` as read-only.
     """
 
     d: int
@@ -200,6 +207,9 @@ class OracleRep:
     k2_inv: LaurentMatrix
     convention: str = "standard"
     _dp_cache: dict = field(default_factory=dict, repr=False)
+    _words: weakref.WeakValueDictionary = field(
+        default_factory=weakref.WeakValueDictionary, repr=False
+    )
 
     @property
     def dim(self) -> int:
@@ -344,18 +354,34 @@ def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
     return proj
 
 
-def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
-    """Evaluate a symbolic element to its matrix."""
-    if x.ctx.d != rep.d:
-        raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
-    cells: dict[tuple[int, int], dict[int, int]] = {}
-    outer, inner = ("e", "f") if x.orientation == EKF else ("f", "e")
-    for m, coeff in x.terms.items():
-        word = (
+def _word(rep: OracleRep, outer: str, inner: str, m: Monomial) -> LaurentMatrix:
+    """The matrix of outer^(a) K[b1,b2] inner^(c), through the weak memo."""
+    key = (outer, m.a, m.b1, m.b2, m.c)
+    word = rep._words.get(key)
+    if word is None:
+        word = rep._words[key] = (
             matrix_of_divided_power(rep, outer, m.a)
             * idempotent_projector(rep, m.b1, m.b2)
             * matrix_of_divided_power(rep, inner, m.c)
         )
+    return word
+
+
+def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
+    """Evaluate a symbolic element to its matrix.
+
+    A single monomial with coefficient 1 returns its shared word matrix.
+    """
+    if x.ctx.d != rep.d:
+        raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
+    outer, inner = ("e", "f") if x.orientation == EKF else ("f", "e")
+    if len(x.terms) == 1:
+        ((m, coeff),) = x.terms.items()
+        if coeff._terms == {0: 1}:
+            return _word(rep, outer, inner, m)
+    cells: dict[tuple[int, int], dict[int, int]] = {}
+    for m, coeff in x.terms.items():
+        word = _word(rep, outer, inner, m)
         scalar = coeff._terms.items()
         for key, val in word.entries.items():
             cell = cells.get(key)

@@ -35,12 +35,16 @@ def schur_dimension(d: int) -> int:
     return comb(d + 3, 3)
 
 
+def _crashed(cid: str, exc: Exception) -> dict:
+    return {"id": cid, "pass": False, "witness": f"{type(exc).__name__}: {exc}"}
+
+
 def _run(checks: list, cid: str, fn) -> None:
     """Run one check; fn returns None (pass) or a witness string (fail)."""
     try:
         witness = fn()
     except Exception as exc:  # a crash is a failure, not an abort
-        checks.append({"id": cid, "pass": False, "witness": f"{type(exc).__name__}: {exc}"})
+        checks.append(_crashed(cid, exc))
         return
     if witness is None:
         checks.append({"id": cid, "pass": True})
@@ -56,16 +60,13 @@ def _elements_equal(x, y) -> str | None:
     return f"{format_element(x)} != {format_element(y)}"
 
 
-def _build(d: int, fault: str | None, allow_large_oracle: bool = False):
-    ctx = Context(d, unstraightened=(fault == "skip-reduction"))
+def _build_rep(d: int, fault: str | None, allow_large_oracle: bool = False):
     oracle_cap = oracle.DEFAULT_MAX_D if allow_large_oracle else ORACLE_MAX_D
-    rep = None
-    if d <= oracle_cap:
-        if fault == "broken-coproduct":
-            rep = oracle.build_rep(d, convention="broken", self_check=False)
-        else:
-            rep = oracle.build_rep(d)
-    return ctx, rep
+    if d > oracle_cap:
+        return None
+    if fault == "broken-coproduct":
+        return oracle.build_rep(d, convention="broken", self_check=False)
+    return oracle.build_rep(d)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +480,33 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         )
         return checks
 
-    basis = ctx.monomials(EKF)
-    unit_elements = [
-        algebra.Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis
-    ]
-    matrices = [oracle.matrix_of_element(rep, x) for x in unit_elements]
-
     def homomorphism():
+        basis = ctx.monomials(EKF)
+        unit_elements = [
+            algebra.Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis
+        ]
+        # While held here, these words are also the memoised ones that
+        # matrix_of_element(multiply(x, y)) reuses.
+        matrices = [oracle.matrix_of_element(rep, x) for x in unit_elements]
+        # The right-hand side is (matrices[i] e^(a')) K[b1',b2'] f^(c') for
+        # basis[j] = e^(a') K[b1',b2'] f^(c'): by exact associativity the same
+        # matrix as matrices[i] * matrices[j], with the first factor shared
+        # by every j of the same a'.
         for i, x in enumerate(unit_elements):
+            left: dict[int, oracle.LaurentMatrix] = {}
             for j, y in enumerate(unit_elements):
-                prod = multiply(x, y)
-                if oracle.matrix_of_element(rep, prod) != matrices[i] * matrices[j]:
+                n = basis[j]
+                head = left.get(n.a)
+                if head is None:
+                    head = left[n.a] = matrices[i] * oracle.matrix_of_divided_power(
+                        rep, "e", n.a
+                    )
+                rhs = (
+                    head
+                    * oracle.idempotent_projector(rep, n.b1, n.b2)
+                    * oracle.matrix_of_divided_power(rep, "f", n.c)
+                )
+                if oracle.matrix_of_element(rep, multiply(x, y)) != rhs:
                     return f"product of basis monomials {basis[i]} and {basis[j]} disagrees"
         return None
 
@@ -577,7 +594,12 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
-    ctx, rep = _build(d, fault, allow_large_oracle)
+    ctx = Context(d, unstraightened=(fault == "skip-reduction"))
+    try:
+        rep = _build_rep(d, fault, allow_large_oracle)
+    except Exception as exc:  # a wrong oracle is a failed check, not a crash
+        checks = [_crashed("oracle-build", exc)]
+        return {"d": d, "suite": name, "checks": checks, "pass": False}
     if name == "relations":
         checks = suite_relations(d, ctx, rep)
     elif name == "idempotents":
@@ -598,7 +620,10 @@ def run_suite(
                 }
             ]
         else:
-            checks = oracle.verify_lusztig_identities(rep)["checks"]
+            try:
+                checks = oracle.verify_lusztig_identities(rep)["checks"]
+            except Exception as exc:
+                checks = [_crashed("lusztig-identities", exc)]
     return {"d": d, "suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 

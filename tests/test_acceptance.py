@@ -5,6 +5,8 @@ against the independent tensor-power oracle.  Run with ``pytest -v -s
 tests/test_acceptance.py`` to see one line per criterion.
 """
 
+import hashlib
+import json
 from contextlib import contextmanager
 
 import pytest
@@ -22,7 +24,7 @@ from qschur.oracle import (
     matrix_of_element,
     span_rank,
 )
-from qschur.suites import run_suite, schur_dimension
+from qschur.suites import SUITES, run_suite, run_suites, schur_dimension
 
 ONE = LaurentPoly.one()
 V = LaurentPoly.v
@@ -139,3 +141,21 @@ def test_criterion_9_negative_controls():
         # vacuous).
         for name in ("basis", "reduction", "relations"):
             assert run_suite(name, 3)["pass"]
+
+
+@pytest.mark.parametrize(
+    "fault, prefix, failing",
+    [
+        (None, "e0b40de54e35d310", 0),
+        ("broken-coproduct", "66ff5f6a35b59816", 16),
+        ("skip-reduction", "8d37df988720b446", 23),
+    ],
+)
+def test_check_outcomes_match_their_golden_digest(fault, prefix, failing):
+    # Ids, outcomes and witnesses of all 452 checks at d=4, healthy and under
+    # each fault; faster evaluation must leave every one of them unchanged.
+    checks = run_suites(list(SUITES), 4, seed=0, fault=fault)["checks"]
+    assert len(checks) == 452
+    assert sum(not c["pass"] for c in checks) == failing
+    rows = [[c["id"], c["pass"], c.get("witness")] for c in checks]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest().startswith(prefix)

@@ -1,6 +1,7 @@
 """The symbolic algebra: idempotent calculus, straightening, multiplication."""
 
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -80,6 +81,11 @@ def test_element_keys_are_validated():
         Element(ctx, EKF, {Monomial(0, 2, 0, 0, EKF): ONE})  # b1 + b2 != 1
     with pytest.raises(ContextMismatch):
         Element(ctx, EKF, {Monomial(0, 0, 1, 0, FKE): ONE})
+    with pytest.raises(IndexOutOfRange):
+        Element(ctx, EKF, MappingProxyType({Monomial(1, 1, 0, 1, EKF): ONE}))
+    assert Element(ctx, EKF, MappingProxyType({Monomial(1, 0, 1, 0, EKF): ONE})) == unit(
+        ctx, 1, 0, 0
+    )
 
 
 # -- identity and idempotents -------------------------------------------------

@@ -252,6 +252,51 @@ def test_verify_fault_injection_fails(capsys):
     assert code == 1
 
 
+def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
+    from qschur import oracle
+    from qschur.laurent import LaurentPoly
+    from qschur.oracle import LaurentMatrix
+
+    prebuilt = build_rep(2)
+    healthy = LaurentMatrix.__mul__
+
+    def one_wrong_entry(self, other):
+        # Drop the top exponent of one entry of every product.
+        out = healthy(self, other)
+        for key, val in out.entries.items():
+            terms = dict(val._terms)
+            del terms[max(terms)]
+            return LaurentMatrix(out.dim, {**out.entries, key: LaurentPoly(terms)})
+        return out
+
+    monkeypatch.setattr(LaurentMatrix, "__mul__", one_wrong_entry)
+    # The build's self-check rejects the representation.
+    code, out, _ = run(capsys, "verify", "--suite", "lusztig", "--d", "2")
+    assert code == 1
+    first, last = out.splitlines()
+    assert first.startswith("FAIL  lusztig/oracle-build  [CoproductCheckFailed: ")
+    assert last == "FAIL  overall (0/1 checks)"
+    # Without the self-check, the oracle suite's own basis words raise.
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--suite",
+        "oracle",
+        "--d",
+        "2",
+        "--inject-fault",
+        "broken-coproduct",
+    )
+    assert code == 1
+    assert out.startswith("FAIL  oracle/orc-homomorphism  [NotDivisible: ")
+    # A representation built before the fault reaches the identities, which
+    # raise on the wrong products.
+    monkeypatch.setattr(oracle, "build_rep", lambda d, **kwargs: prebuilt)
+    code, out, _ = run(capsys, "verify", "--suite", "lusztig", "--d", "2")
+    assert code == 1
+    assert out.startswith("FAIL  lusztig/lusztig-identities  [ValueError: ")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "product.txt"
     code, out, _ = run(

@@ -1,6 +1,7 @@
 """Ring arithmetic, quantum combinatorics, and serialization."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -56,6 +57,7 @@ def test_zero_coefficients_never_stored():
     x = LaurentPoly({1: 1}) + LaurentPoly({1: -1})
     assert x.is_zero and x._terms == {}
     assert LaurentPoly({0: 0, 2: 0}).is_zero
+    assert LaurentPoly(MappingProxyType({0: 0, 2: 3}))._terms == {2: 3}
 
 
 @given(polys, polys, polys)

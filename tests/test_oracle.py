@@ -1,5 +1,6 @@
 """The tensor-power representation and its verification machinery."""
 
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -53,6 +54,20 @@ def test_k1_spectrum():
     for d in range(5):
         rep = build_rep(d)
         assert sorted(set(rep.k1.diagonal_exponents())) == list(range(d + 1))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): V(1)},  # a missing diagonal entry
+        {(0, 0): V(1), (1, 1): V(1) + ONE},
+        {(0, 0): V(1), (1, 1): V(1) * 2},
+        {(0, 0): V(1), (1, 1): ONE, (0, 1): ONE},
+    ],
+)
+def test_diagonal_exponents_rejects_other_matrices(entries):
+    with pytest.raises(ValueError, match="diagonal"):
+        LaurentMatrix(2, entries).diagonal_exponents()
 
 
 def test_dimension_limit():
@@ -301,6 +316,9 @@ def elements(draw):
     orientation = draw(st.sampled_from((EKF, FKE)))
     ctx = Context(d)
     basis = ctx.monomials(orientation)
+    if draw(st.booleans()):
+        # A single monomial with coefficient 1 returns the memoised word.
+        return Element(ctx, orientation, {draw(st.sampled_from(basis)): ONE})
     terms = draw(st.lists(st.tuples(st.sampled_from(basis), polys), max_size=4))
     return Element(ctx, orientation, terms)
 
@@ -339,3 +357,38 @@ def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
     # checks, not the build's self-check, must catch it.
     for suite in (suites.suite_relations, suites.suite_reduction):
         assert not all(c["pass"] for c in suite(2, ctx, rep))
+
+
+# -- the weak word memo ---------------------------------------------------------
+
+
+def test_word_memo_keeps_a_word_only_while_a_caller_holds_it():
+    rep = build_rep(2)
+    x = Element(Context(2), EKF, {Monomial(1, 1, 1, 0, EKF): ONE})
+    held = matrix_of_element(rep, x)
+    assert matrix_of_element(rep, x) is held
+    assert matrix_of_element(rep, x.scale(V(1))) == held.scale(V(1))
+    assert len(rep._words) == 1
+    del held
+    assert len(rep._words) == 0
+
+
+def test_a_stale_memoised_word_is_caught_by_the_oracle_suite(monkeypatch):
+    ctx = Context(2)
+    assert all(c["pass"] for c in suites.suite_oracle(2, ctx, build_rep(2)))
+
+    class StaleWords(weakref.WeakValueDictionary):
+        """A hit returns the word of another live key with the same outer and a."""
+
+        def get(self, key, default=None):
+            word = super().get(key, default)
+            if word is not None:
+                for other in list(self.keys()):
+                    if other != key and other[:2] == key[:2]:
+                        return self[other]
+            return word
+
+    rep = build_rep(2)
+    monkeypatch.setattr(rep, "_words", StaleWords())
+    checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
+    assert not checks["orc-homomorphism"]
