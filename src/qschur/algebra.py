@@ -23,6 +23,8 @@ from .laurent import LaurentPoly, gauss_binomial
 EKF = "EKF"
 FKE = "FKE"
 GENERATORS = ("e", "f", "K1", "K1inv", "K2", "K2inv")
+# The divided powers left and right of the idempotent, per orientation.
+GENERATOR_ORDER = {EKF: ("e", "f"), FKE: ("f", "e")}
 
 
 class IndexOutOfRange(ValueError):
@@ -93,13 +95,6 @@ class Context:
                 f"idempotent indices ({b1},{b2}) must be nonnegative with sum {self.d}"
             )
         return (b1, b2)
-
-    def monomial(self, a: int, b1: int, b2: int, c: int, orientation: str = EKF) -> Monomial:
-        if a < 0 or c < 0:
-            raise IndexOutOfRange(f"divided-power exponents must be nonnegative: ({a},{c})")
-        self.check_pair(b1, b2)
-        _check_orientation(orientation)
-        return Monomial(a, b1, b2, c, orientation)
 
     def is_canonical(self, m: Monomial) -> bool:
         if self.unstraightened:
@@ -306,21 +301,11 @@ def divided_power_element(ctx: Context, gen: str, m: int, orientation: str = EKF
         raise ValueError(f"generator must be 'e' or 'f', got {gen!r}")
     if m < 0:
         raise IndexOutOfRange("divided-power exponent must be nonnegative")
-    outer = "e" if orientation == EKF else "f"
+    _check_orientation(orientation)
+    a, c = (m, 0) if gen == GENERATOR_ORDER[orientation][0] else (0, m)
+    monos = (Monomial(a, b1, b2, c, orientation) for b1, b2 in ctx.idempotents)
     one = LaurentPoly.one()
-    terms = {}
-    for b1, b2 in ctx.idempotents:
-        if gen == outer:
-            mono = Monomial(m, b1, b2, 0, orientation)
-        else:
-            mono = Monomial(0, b1, b2, m, orientation)
-        if ctx.unstraightened:
-            keep = m <= ctx.d
-        else:
-            keep = mono.fake_degree <= ctx.d
-        if keep:
-            terms[mono] = one
-    return Element(ctx, orientation, terms)
+    return Element(ctx, orientation, {mono: one for mono in monos if ctx.is_canonical(mono)})
 
 
 def generator_element(ctx: Context, gen: str, orientation: str = EKF) -> Element:
@@ -513,10 +498,7 @@ def multiply(x: Element, y: Element) -> Element:
     multiplies to zero unless b1 + c = b1' + a', since the idempotents are
     orthogonal; no binomial is computed for such a pair.
     """
-    if x.ctx != y.ctx:
-        raise ContextMismatch(f"contexts differ: d={x.ctx.d} vs d={y.ctx.d}")
-    if x.orientation != y.orientation:
-        raise ContextMismatch(f"orientations differ: {x.orientation} vs {y.orientation}")
+    x._require_compatible(y)
     if x.orientation == FKE:
         ex = _relabel(x, EKF)
         ey = _relabel(y, EKF)
@@ -575,32 +557,6 @@ def convert_orientation(x: Element, target: str) -> Element:
     if target == EKF:
         return _fke_to_ekf(x)
     return _relabel(_fke_to_ekf(_relabel(x, FKE)), FKE)
-
-
-def _kbinom_expansion(ctx: Context, base: str, b: int) -> dict[int, LaurentPoly]:
-    """Coordinates of the Gaussian binomial of K1 (or K2) in the idempotents.
-
-    [K1; b] = sum over b1 of [b1; b] K[b1,b2]; the K2 version uses [b2; b].
-    """
-    if base == "K1":
-        return {b1: gauss_binomial(b1, b) for b1, _ in ctx.idempotents}
-    if base == "K2":
-        return {b1: gauss_binomial(b2, b) for b1, b2 in ctx.idempotents}
-    raise ValueError(f"base must be 'K1' or 'K2', got {base!r}")
-
-
-def kbinom_element(ctx: Context, base: str, b: int, orientation: str = EKF) -> Element:
-    """The Gaussian binomial of K1 or K2 as a canonical element."""
-    coords = _kbinom_expansion(ctx, base, b)
-    return Element(
-        ctx,
-        orientation,
-        {
-            Monomial(0, b1, ctx.d - b1, 0, orientation): coeff
-            for b1, coeff in coords.items()
-            if not coeff.is_zero
-        },
-    )
 
 
 def _kbinom_unit(ctx: Context, a: int, b: int, c: int) -> Element:

@@ -11,18 +11,10 @@ import json
 import os
 import sys
 
-from .algebra import (
-    EKF,
-    FKE,
-    Context,
-    ContextMismatch,
-    IndexOutOfRange,
-    multiply,
-    reduce_monomial,
-    reduction_defect,
-)
+from .algebra import EKF, FKE, Context, Element, multiply, reduce_monomial, reduction_defect
+from .laurent import LaurentPoly
 from .suites import FAULTS, SUITE_GUARDS, SUITES, run_suites
-from .textio import ParseError, element_to_json, format_element, parse_element
+from .textio import element_to_json, format_element, parse_element
 
 TABLE_MAX_D = 6
 
@@ -168,9 +160,6 @@ def cmd_basis(args) -> int:
         }
         _emit(json.dumps(payload), args.out)
     else:
-        from .algebra import Element
-        from .laurent import LaurentPoly
-
         lines = [
             format_element(Element(ctx, args.orientation, {m: LaurentPoly.one()}))
             for m in basis
@@ -190,9 +179,6 @@ def cmd_table(args) -> int:
             f"warning: d={args.d} exceeds the table guard; this may take a while",
             file=sys.stderr,
         )
-    from .algebra import Element
-    from .laurent import LaurentPoly
-
     ctx = Context(args.d)
     basis = ctx.monomials(EKF)
     lines = []
@@ -266,15 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (
-        UsageError,
-        ParseError,
-        IndexOutOfRange,
-        ContextMismatch,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # parse and JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,8 @@ import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .algebra import EKF, ContextMismatch, Element, Monomial
-from .laurent import LaurentPoly, gauss_binomial, quantum_int
+from .algebra import GENERATOR_ORDER, ContextMismatch, Element, Monomial
+from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
 
 DEFAULT_MAX_D = 10
 CONVENTIONS = ("standard", "mirrored", "broken")
@@ -27,7 +27,7 @@ class DimensionLimit(ValueError):
 
 
 class CoproductCheckFailed(RuntimeError):
-    """No comultiplication convention produced a valid representation."""
+    """The chosen comultiplication convention fails the defining relations."""
 
 
 class LaurentMatrix:
@@ -50,6 +50,14 @@ class LaurentMatrix:
             if not val.is_zero:
                 acc[(r, c)] = val
         self.entries = acc
+
+    @staticmethod
+    def _raw(dim: int, entries: dict[tuple[int, int], LaurentPoly]) -> LaurentMatrix:
+        # Internal constructor for entry maps already free of zero entries.
+        out = LaurentMatrix.__new__(LaurentMatrix)
+        out.dim = dim
+        out.entries = entries
+        return out
 
     @staticmethod
     def identity(dim: int) -> LaurentMatrix:
@@ -78,16 +86,10 @@ class LaurentMatrix:
                 entries.pop(k, None)
             else:
                 entries[k] = n
-        out = LaurentMatrix.__new__(LaurentMatrix)
-        out.dim = self.dim
-        out.entries = entries
-        return out
+        return LaurentMatrix._raw(self.dim, entries)
 
     def __neg__(self) -> LaurentMatrix:
-        out = LaurentMatrix.__new__(LaurentMatrix)
-        out.dim = self.dim
-        out.entries = {k: -v for k, v in self.entries.items()}
-        return out
+        return LaurentMatrix._raw(self.dim, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
         return self + (-other)
@@ -118,10 +120,7 @@ class LaurentMatrix:
                     acc.pop(key, None)
                 else:
                     acc[key] = n
-        out = LaurentMatrix.__new__(LaurentMatrix)
-        out.dim = self.dim
-        out.entries = acc
-        return out
+        return LaurentMatrix._raw(self.dim, acc)
 
     def power(self, n: int) -> LaurentMatrix:
         result = LaurentMatrix.identity(self.dim)
@@ -176,10 +175,7 @@ def _from_cells(dim: int, cells: dict[tuple[int, int], dict[int, int]]) -> Laure
         if terms:
             val = entries[key] = LaurentPoly.__new__(LaurentPoly)
             val._terms = terms
-    out = LaurentMatrix.__new__(LaurentMatrix)
-    out.dim = dim
-    out.entries = entries
-    return out
+    return LaurentMatrix._raw(dim, entries)
 
 
 @dataclass
@@ -214,16 +210,6 @@ class OracleRep:
     @property
     def dim(self) -> int:
         return 1 << self.d
-
-    def generator(self, name: str) -> LaurentMatrix:
-        return {
-            "e": self.e,
-            "f": self.f,
-            "K1": self.k1,
-            "K1inv": self.k1_inv,
-            "K2": self.k2,
-            "K2inv": self.k2_inv,
-        }[name]
 
 
 def _slot_bits(n: int, d: int) -> list[int]:
@@ -281,29 +267,28 @@ def build_rep(
     convention: str | None = None,
     self_check: bool = True,
 ) -> OracleRep:
-    """Construct the representation, self-checking the defining relations.
+    """Construct the representation in one comultiplication convention.
 
-    With ``convention=None`` the standard comultiplication is tried first
-    and the mirrored one is used as a fallback; if both fail the build
-    aborts rather than returning a silently wrong oracle.
+    ``convention=None`` means ``"standard"``; no other convention is tried.
+    With ``self_check`` the defining relations are verified, and a failure
+    aborts the build rather than returning a silently wrong oracle.
     """
     if d < 0:
         raise ValueError("tensor degree must be nonnegative")
     if d > max_d:
         raise DimensionLimit(f"tensor degree {d} exceeds the configured maximum {max_d}")
-    candidates = [convention] if convention is not None else ["standard", "mirrored"]
-    failures = []
-    for name in candidates:
-        if name not in CONVENTIONS:
-            raise ValueError(f"unknown convention {name!r}")
-        rep = OracleRep(d, *_build_generator_matrices(d, name), convention=name)
-        if not self_check:
-            return rep
-        report = verify_defining_relations(rep)
-        if report["pass"]:
-            return rep
-        failures.append((name, [c for c in report["checks"] if not c["pass"]]))
-    raise CoproductCheckFailed(f"no convention satisfied the defining relations: {failures}")
+    convention = "standard" if convention is None else convention
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    rep = OracleRep(d, *_build_generator_matrices(d, convention), convention=convention)
+    if self_check:
+        failed = [c for c in verify_defining_relations(rep)["checks"] if not c["pass"]]
+        if failed:
+            raise CoproductCheckFailed(
+                f"{convention} convention fails {failed[0]['id']}: {failed[0]['witness']} "
+                f"({len(failed)} relation checks failed)"
+            )
+    return rep
 
 
 def matrix_of_divided_power(rep: OracleRep, gen: str, m: int) -> LaurentMatrix:
@@ -374,7 +359,7 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
     """
     if x.ctx.d != rep.d:
         raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
-    outer, inner = ("e", "f") if x.orientation == EKF else ("f", "e")
+    outer, inner = GENERATOR_ORDER[x.orientation]
     if len(x.terms) == 1:
         ((m, coeff),) = x.terms.items()
         if coeff._terms == {0: 1}:
@@ -411,7 +396,7 @@ def span_rank(matrices: list[LaurentMatrix]) -> int:
     split into independent groups and each group is reduced by one-step
     fraction-free elimination, whose divisions are exact in Z[v, v^-1].
     """
-    rows = [dict(m.entries) for m in matrices if m.entries]
+    rows = [m.entries for m in matrices if m.entries]
     if not rows:
         return 0
     # Group rows that share any column (union-find keyed through columns).
@@ -476,6 +461,11 @@ def _fraction_free_rank(rows: list[dict[tuple[int, int], LaurentPoly]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _report(d: int, suite: str, checks: list[dict]) -> dict:
+    """The report schema shared by every suite."""
+    return {"d": d, "suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
+
+
 def _check(checks: list, cid: str, lhs: LaurentMatrix, rhs: LaurentMatrix) -> None:
     if lhs == rhs:
         checks.append({"id": cid, "pass": True})
@@ -507,20 +497,19 @@ def verify_defining_relations(rep: OracleRep) -> dict:
     _check(checks, "k1-conj-f", k1 * f * k1i, f.scale(v(-1)))
     _check(checks, "k2-conj-e", k2 * e * k2i, e.scale(v(-1)))
     _check(checks, "k2-conj-f", k2 * f * k2i, f.scale(v(1)))
-    commutator_rhs = (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))
-    _check(checks, "ef-commutator", e * f - f * e, commutator_rhs)
+    try:
+        commutator_rhs = (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))
+    except NotDivisible as exc:  # a wrong K image is a failed check, not a crash
+        checks.append({"id": "ef-commutator", "pass": False, "witness": f"NotDivisible: {exc}"})
+    else:
+        _check(checks, "ef-commutator", e * f - f * e, commutator_rhs)
     _check(checks, "k1k2-central-scalar", k1 * k2, ident.scale(v(rep.d)))
     minpoly = ident
     for i in range(rep.d + 1):
         minpoly = minpoly * (k1 - ident.scale(v(i)))
     _check(checks, "k1-minimal-poly", minpoly, LaurentMatrix(rep.dim))
 
-    return {
-        "d": rep.d,
-        "suite": "defining-relations",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return _report(rep.d, "defining-relations", checks)
 
 
 def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
@@ -629,9 +618,4 @@ def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
                     rhs,
                 )
 
-    return {
-        "d": rep.d,
-        "suite": "lusztig",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return _report(rep.d, "lusztig", checks)

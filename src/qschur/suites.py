@@ -344,7 +344,7 @@ def suite_reduction(d: int, ctx: Context, rep) -> list[dict]:
         if rep is not None:
 
             def oracle_agreement(orientation=orientation):
-                outer, inner = ("e", "f") if orientation == EKF else ("f", "e")
+                outer, inner = algebra.GENERATOR_ORDER[orientation]
                 for a in range(d + 1):
                     for b1 in range(d + 1):
                         for c in range(d + 1):
@@ -598,8 +598,7 @@ def run_suite(
     try:
         rep = _build_rep(d, fault, allow_large_oracle)
     except Exception as exc:  # a wrong oracle is a failed check, not a crash
-        checks = [_crashed("oracle-build", exc)]
-        return {"d": d, "suite": name, "checks": checks, "pass": False}
+        return oracle._report(d, name, [_crashed("oracle-build", exc)])
     if name == "relations":
         checks = suite_relations(d, ctx, rep)
     elif name == "idempotents":
@@ -624,7 +623,7 @@ def run_suite(
                 checks = oracle.verify_lusztig_identities(rep)["checks"]
             except Exception as exc:
                 checks = [_crashed("lusztig-identities", exc)]
-    return {"d": d, "suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
+    return oracle._report(d, name, checks)
 
 
 def run_suites(
@@ -643,9 +642,4 @@ def run_suites(
         )
         for c in report["checks"]:
             checks.append({**c, "id": f"{name}/{c['id']}"})
-    return {
-        "d": d,
-        "suite": "+".join(names),
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    return oracle._report(d, "+".join(names), checks)

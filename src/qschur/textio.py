@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import EKF, FKE, Context, Element, reduce_monomial, zero_element
+from .algebra import EKF, FKE, GENERATOR_ORDER, Context, Element, reduce_monomial, zero_element
 from .laurent import LaurentPoly, parse_laurent
 
 
@@ -35,9 +35,9 @@ def format_element(x: Element) -> str:
         return "0"
     one = LaurentPoly.one()
     parts = []
+    first, last = GENERATOR_ORDER[x.orientation]
     for m, coeff in x.sorted_terms():
         factors = []
-        first, last = ("e", "f") if x.orientation == EKF else ("f", "e")
         if m.a > 0:
             factors.append(f"{first}^({m.a})")
         factors.append(f"K[{m.b1},{m.b2}]")
@@ -77,7 +77,7 @@ def _parse_term(text: str, start: int, end: int, ctx: Context, orientation: str)
             raise ParseError("expected '*' after coefficient", pos)
         pos += 1
 
-    first, last = ("e", "f") if orientation == EKF else ("f", "e")
+    first, last = GENERATOR_ORDER[orientation]
     a = c = None
     pair = None
     stage = 0  # 0: expect first gen or K; 1: expect K; 2: expect last gen or end

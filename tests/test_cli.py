@@ -252,16 +252,14 @@ def test_verify_fault_injection_fails(capsys):
     assert code == 1
 
 
-def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
-    from qschur import oracle
+def _one_wrong_entry_per_product(monkeypatch) -> None:
+    """Make the oracle's matrix product drop the top exponent of one entry."""
     from qschur.laurent import LaurentPoly
     from qschur.oracle import LaurentMatrix
 
-    prebuilt = build_rep(2)
     healthy = LaurentMatrix.__mul__
 
     def one_wrong_entry(self, other):
-        # Drop the top exponent of one entry of every product.
         out = healthy(self, other)
         for key, val in out.entries.items():
             terms = dict(val._terms)
@@ -270,6 +268,13 @@ def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(LaurentMatrix, "__mul__", one_wrong_entry)
+
+
+def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
+    from qschur import oracle
+
+    prebuilt = build_rep(2)
+    _one_wrong_entry_per_product(monkeypatch)
     # The build's self-check rejects the representation.
     code, out, _ = run(capsys, "verify", "--suite", "lusztig", "--d", "2")
     assert code == 1
@@ -295,6 +300,40 @@ def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "lusztig", "--d", "2")
     assert code == 1
     assert out.startswith("FAIL  lusztig/lusztig-identities  [ValueError: ")
+
+
+def test_a_failed_oracle_build_is_reported_on_one_line(capsys, monkeypatch):
+    _one_wrong_entry_per_product(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "relations", "--d", "2")
+    assert code == 1
+    first, last = out.splitlines()
+    assert first.startswith(
+        "FAIL  relations/oracle-build  [CoproductCheckFailed: standard convention fails "
+    )
+    assert first.endswith(" relation checks failed)]")
+    assert len(first) < 300
+    assert last == "FAIL  overall (0/1 checks)"
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_verify_reports_a_wrong_k2_inverse(d, capsys, monkeypatch):
+    # Every entry of K2^-1 is off by a factor v, so the ef-commutator's
+    # right-hand side is not divisible by v - v^-1: a failed check, not a crash.
+    from qschur import oracle
+    from qschur.laurent import LaurentPoly
+
+    wrong = build_rep(d)
+    wrong.k2_inv = wrong.k2_inv.scale(LaurentPoly.v(1))
+    monkeypatch.setattr(oracle, "build_rep", lambda d, **kwargs: wrong)
+    code, out, _ = run(capsys, "verify", "--suite", "relations", "--d", str(d))
+    assert code == 1
+    lines = out.splitlines()
+    failed = dict(line.split("  ", 2)[1:] for line in lines[:-1] if line.startswith("FAIL"))
+    assert failed["relations/orc-k2-inverse"].startswith("[entry ")
+    commutator = failed["relations/orc-ef-commutator"]
+    assert commutator.startswith("[NotDivisible: ")
+    assert commutator.endswith(" is not divisible by v - v^-1]")
+    assert lines[-1].startswith("FAIL  overall ")
 
 
 def test_out_file(tmp_path, capsys):

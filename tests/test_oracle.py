@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qschur.algebra import EKF, FKE, Context, Element, Monomial, identity_element, multiply, zero_element
 from qschur.laurent import LaurentPoly
 from qschur import oracle, suites
+from qschur.cli import main
 from qschur.oracle import (
     CoproductCheckFailed,
     DimensionLimit,
@@ -100,6 +101,24 @@ def test_conventions():
         build_rep(2, convention="broken")
     broken = build_rep(2, convention="broken", self_check=False)
     assert not verify_defining_relations(broken)["pass"]
+
+
+def test_a_failing_standard_convention_is_not_replaced(monkeypatch):
+    # The standard convention builds the broken matrices here: no other
+    # convention may stand in, so the build, the suites and verify all fail.
+    healthy = oracle._build_generator_matrices
+
+    def standard_is_broken(d, convention):
+        return healthy(d, "broken" if convention == "standard" else convention)
+
+    monkeypatch.setattr(oracle, "_build_generator_matrices", standard_is_broken)
+    with pytest.raises(CoproductCheckFailed, match="^standard convention fails "):
+        build_rep(2)
+    assert build_rep(2, convention="mirrored").convention == "mirrored"
+    report = suites.run_suites(list(suites.SUITES), 2)
+    assert not report["pass"]
+    assert [c["id"] for c in report["checks"]] == [f"{s}/oracle-build" for s in suites.SUITES]
+    assert main(["verify", "--suite", "all", "--d", "2"]) == 1
 
 
 def test_divided_powers():
