@@ -1,12 +1,22 @@
-"""Independent ground truth: the tensor-power matrix representation.
+"""Independent ground truth: exact matrix representations of the algebra.
 
-The two-dimensional natural module has basis vectors indexed by bits
-(bit 0 and bit 1); the degree-d tensor power is indexed by bit-strings of
-length d, encoded as integers with the leftmost slot most significant.  The
+Two representations are built here.  The one the suites use is the direct
+sum of the Weyl modules L(d-k, k), 0 <= k <= d/2: over Q(v) the algebra is
+split semisimple with exactly these simple modules, and the squares of their
+dimensions d-2k+1 sum to C(d+3, 3), so the sum is faithful while its
+dimension is only floor((d+2)^2/4).  Its generator images are the plain
+U_v(sl2) module formulas, built from quantum integers alone.
+
+The other is the degree-d tensor power of the two-dimensional natural
+module, kept as an independent cross-check at small d and as the base of
+the broken-coproduct fault.  Its basis vectors are bit-strings of length d,
+encoded as integers with the leftmost slot most significant, and its
 generator images are built from the explicit 2x2 matrices by iterating the
 comultiplication, which distributes group-like legs K1*K2^-1 (or its
-inverse) over the tensor slots.  Everything downstream of the symbolic
-algebra is checked against these matrices with exact arithmetic.
+inverse) over the tensor slots.
+
+Everything downstream of the symbolic algebra is checked against these
+matrices with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,15 +29,15 @@ from .algebra import GENERATOR_ORDER, ContextMismatch, Element, Monomial
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
 
 DEFAULT_MAX_D = 10
-CONVENTIONS = ("standard", "mirrored", "broken")
+CONVENTIONS = ("standard", "mirrored", "broken", "weyl")
 
 
 class DimensionLimit(ValueError):
-    """Requested tensor degree exceeds the configured maximum."""
+    """Requested degree exceeds the configured maximum."""
 
 
 class CoproductCheckFailed(RuntimeError):
-    """The chosen comultiplication convention fails the defining relations."""
+    """The chosen convention's matrices fail the defining relations."""
 
 
 class LaurentMatrix:
@@ -180,7 +190,11 @@ def _from_cells(dim: int, cells: dict[tuple[int, int], dict[int, int]]) -> Laure
 
 @dataclass
 class OracleRep:
-    """Exact generator matrices on the degree-d tensor power.
+    """Exact generator matrices of one degree-d representation.
+
+    ``convention`` names it: ``"weyl"`` is the direct sum of the Weyl
+    modules, the others are the tensor power in one comultiplication
+    convention.  ``dim`` is read off the matrices.
 
     Immutable after construction apart from two caches.  ``_dp_cache``
     holds the divided powers keyed by (gen, m) and the idempotent
@@ -209,7 +223,25 @@ class OracleRep:
 
     @property
     def dim(self) -> int:
-        return 1 << self.d
+        return self.e.dim
+
+
+def _generator_matrices(
+    dim: int,
+    e_entries: dict[tuple[int, int], LaurentPoly],
+    f_entries: dict[tuple[int, int], LaurentPoly],
+    k1_exps: list[int],
+    k2_exps: list[int],
+):
+    """The six generator images from the e and f entries and the K exponents."""
+    return (
+        LaurentMatrix(dim, e_entries),
+        LaurentMatrix(dim, f_entries),
+        LaurentMatrix.diagonal([LaurentPoly.v(z) for z in k1_exps]),
+        LaurentMatrix.diagonal([LaurentPoly.v(-z) for z in k1_exps]),
+        LaurentMatrix.diagonal([LaurentPoly.v(o) for o in k2_exps]),
+        LaurentMatrix.diagonal([LaurentPoly.v(-o) for o in k2_exps]),
+    )
 
 
 def _slot_bits(n: int, d: int) -> list[int]:
@@ -217,6 +249,7 @@ def _slot_bits(n: int, d: int) -> list[int]:
 
 
 def _build_generator_matrices(d: int, convention: str):
+    """The generators on the tensor power in one comultiplication convention."""
     dim = 1 << d
     e_entries: dict[tuple[int, int], LaurentPoly] = {}
     f_entries: dict[tuple[int, int], LaurentPoly] = {}
@@ -250,14 +283,30 @@ def _build_generator_matrices(d: int, convention: str):
                     w = sum(1 if b == 1 else -1 for b in bits[j + 1 :])
                 key = (src | mask, src)
                 f_entries[key] = f_entries.get(key, LaurentPoly.zero()) + LaurentPoly.v(w)
-    return (
-        LaurentMatrix(dim, e_entries),
-        LaurentMatrix(dim, f_entries),
-        LaurentMatrix.diagonal([LaurentPoly.v(z) for z in k1_exps]),
-        LaurentMatrix.diagonal([LaurentPoly.v(-z) for z in k1_exps]),
-        LaurentMatrix.diagonal([LaurentPoly.v(o) for o in k2_exps]),
-        LaurentMatrix.diagonal([LaurentPoly.v(-o) for o in k2_exps]),
-    )
+    return _generator_matrices(dim, e_entries, f_entries, k1_exps, k2_exps)
+
+
+def _build_weyl_matrices(d: int):
+    """The generators on the direct sum of L(d-k, k), 0 <= k <= d/2.
+
+    Block k has basis v_0..v_n with n = d-2k, and v_j has K1 exponent
+    d-k-j and K2 exponent k+j; e v_j = [n-j+1] v_{j-1}, f v_j = [j+1] v_{j+1}.
+    """
+    e_entries: dict[tuple[int, int], LaurentPoly] = {}
+    f_entries: dict[tuple[int, int], LaurentPoly] = {}
+    k1_exps: list[int] = []
+    k2_exps: list[int] = []
+    for k in range(d // 2 + 1):
+        n = d - 2 * k
+        base = len(k1_exps)
+        for j in range(n + 1):
+            k1_exps.append(d - k - j)
+            k2_exps.append(k + j)
+            if j > 0:
+                e_entries[(base + j - 1, base + j)] = quantum_int(n - j + 1)
+            if j < n:
+                f_entries[(base + j + 1, base + j)] = quantum_int(j + 1)
+    return _generator_matrices(len(k1_exps), e_entries, f_entries, k1_exps, k2_exps)
 
 
 def build_rep(
@@ -267,20 +316,25 @@ def build_rep(
     convention: str | None = None,
     self_check: bool = True,
 ) -> OracleRep:
-    """Construct the representation in one comultiplication convention.
+    """Construct the representation in one convention.
 
-    ``convention=None`` means ``"standard"``; no other convention is tried.
+    ``convention=None`` means ``"standard"``, the tensor power; ``"weyl"`` is
+    the direct sum of the Weyl modules.  No other convention is tried.
     With ``self_check`` the defining relations are verified, and a failure
     aborts the build rather than returning a silently wrong oracle.
     """
     if d < 0:
-        raise ValueError("tensor degree must be nonnegative")
+        raise ValueError("degree must be nonnegative")
     if d > max_d:
-        raise DimensionLimit(f"tensor degree {d} exceeds the configured maximum {max_d}")
+        raise DimensionLimit(f"degree {d} exceeds the configured maximum {max_d}")
     convention = "standard" if convention is None else convention
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    rep = OracleRep(d, *_build_generator_matrices(d, convention), convention=convention)
+    if convention == "weyl":
+        matrices = _build_weyl_matrices(d)
+    else:
+        matrices = _build_generator_matrices(d, convention)
+    rep = OracleRep(d, *matrices, convention=convention)
     if self_check:
         failed = [c for c in verify_defining_relations(rep)["checks"] if not c["pass"]]
         if failed:

@@ -11,12 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from qschur.algebra import (
-    EKF,
-    FKE,
-    Context,
-    Element,
-)
+from qschur.algebra import EKF, Context, Element
 from qschur.laurent import LaurentPoly, gauss_binomial, quantum_int
 from qschur.oracle import (
     CoproductCheckFailed,

@@ -34,7 +34,7 @@ from qschur.algebra import (
     zero_element,
 )
 from qschur import algebra
-from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial, quantum_int
+from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial
 from qschur.suites import run_suite
 
 V = LaurentPoly.v

@@ -6,7 +6,7 @@ import pytest
 
 from qschur.algebra import Context, EKF
 from qschur.cli import main
-from qschur.oracle import build_rep, matrix_of_element, oracle_equal
+from qschur.oracle import build_rep, matrix_of_element
 from qschur.textio import element_from_json, parse_element
 
 
@@ -308,7 +308,7 @@ def test_a_failed_oracle_build_is_reported_on_one_line(capsys, monkeypatch):
     assert code == 1
     first, last = out.splitlines()
     assert first.startswith(
-        "FAIL  relations/oracle-build  [CoproductCheckFailed: standard convention fails "
+        "FAIL  relations/oracle-build  [CoproductCheckFailed: weyl convention fails "
     )
     assert first.endswith(" relation checks failed)]")
     assert len(first) < 300

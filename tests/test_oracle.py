@@ -1,4 +1,4 @@
-"""The tensor-power representation and its verification machinery."""
+"""The matrix representations and their verification machinery."""
 
 import weakref
 from functools import lru_cache
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur.algebra import EKF, FKE, Context, Element, Monomial, identity_element, multiply, zero_element
-from qschur.laurent import LaurentPoly
+from qschur.laurent import LaurentPoly, quantum_int
 from qschur import oracle, suites
 from qschur.cli import main
 from qschur.oracle import (
@@ -80,7 +80,8 @@ def test_dimension_limit():
 
 @pytest.mark.parametrize("d", range(5))
 def test_defining_relations(d):
-    assert verify_defining_relations(build_rep(d))["pass"]
+    for convention in ("standard", "weyl"):
+        assert verify_defining_relations(build_rep(d, convention=convention))["pass"]
 
 
 def test_mutated_rep_fails_with_witness():
@@ -94,7 +95,7 @@ def test_mutated_rep_fails_with_witness():
 
 
 def test_conventions():
-    for name in ("standard", "mirrored"):
+    for name in ("standard", "mirrored", "weyl"):
         rep = build_rep(3, convention=name)
         assert verify_defining_relations(rep)["pass"]
     with pytest.raises(CoproductCheckFailed):
@@ -105,7 +106,7 @@ def test_conventions():
 
 def test_a_failing_standard_convention_is_not_replaced(monkeypatch):
     # The standard convention builds the broken matrices here: no other
-    # convention may stand in, so the build, the suites and verify all fail.
+    # convention may stand in for build_rep's default.
     healthy = oracle._build_generator_matrices
 
     def standard_is_broken(d, convention):
@@ -115,10 +116,86 @@ def test_a_failing_standard_convention_is_not_replaced(monkeypatch):
     with pytest.raises(CoproductCheckFailed, match="^standard convention fails "):
         build_rep(2)
     assert build_rep(2, convention="mirrored").convention == "mirrored"
+    # With the tensor conventions healthy again and the Weyl modules wrong,
+    # no tensor convention may stand in for the one the suites use either:
+    # the build, the suites and verify all fail.
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_build_weyl_matrices", _weyl_with_short_e)
     report = suites.run_suites(list(suites.SUITES), 2)
     assert not report["pass"]
     assert [c["id"] for c in report["checks"]] == [f"{s}/oracle-build" for s in suites.SUITES]
+    assert all(
+        c["witness"].startswith("CoproductCheckFailed: weyl convention fails ")
+        for c in report["checks"]
+    )
     assert main(["verify", "--suite", "all", "--d", "2"]) == 1
+
+
+# -- the Weyl modules ----------------------------------------------------------
+
+_healthy_weyl = oracle._build_weyl_matrices
+
+
+def _weyl_with_short_e(d):
+    """The Weyl generators with e v_j = [n-j] v_{j-1} instead of [n-j+1] v_{j-1}."""
+    e, *rest = _healthy_weyl(d)
+    # Each entry of e is a quantum integer [m], whose degree is m - 1.
+    short = {key: quantum_int(val.degree()) for key, val in e.entries.items()}
+    return (LaurentMatrix(e.dim, short), *rest)
+
+
+def test_weyl_matrices_at_degree_two():
+    # L(2,0) on v_0, v_1, v_2, then L(1,1) on its single v_0.
+    rep = build_rep(2, convention="weyl")
+    two = quantum_int(2)
+    assert rep.e == LaurentMatrix(4, {(0, 1): two, (1, 2): ONE})
+    assert rep.f == LaurentMatrix(4, {(1, 0): ONE, (2, 1): two})
+    assert rep.k1 == LaurentMatrix.diagonal([V(2), V(1), ONE, V(1)])
+    assert rep.k2 == LaurentMatrix.diagonal([ONE, V(1), V(2), V(1)])
+
+
+def test_weyl_dimension():
+    for d in range(11):
+        assert build_rep(d, convention="weyl").dim == (d + 2) ** 2 // 4
+    for d in range(4):
+        assert build_rep(d).dim == 1 << d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_weyl_module_fails_the_build(d, monkeypatch):
+    monkeypatch.setattr(oracle, "_build_weyl_matrices", _weyl_with_short_e)
+    with pytest.raises(CoproductCheckFailed, match="^weyl convention fails "):
+        build_rep(d, convention="weyl")
+
+
+def _suite_checks(d, fault):
+    report = suites.run_suites(list(suites.SUITES), d, fault=fault)
+    return [(c["id"], c["pass"], c.get("witness")) for c in report["checks"]]
+
+
+@pytest.mark.parametrize("fault", [None, "skip-reduction"])
+def test_weyl_and_tensor_oracles_give_the_same_reports(fault, monkeypatch):
+    assert suites._build_rep(3, fault).convention == "weyl"
+    weyl = {d: _suite_checks(d, fault) for d in range(6)}
+    monkeypatch.setattr(
+        suites, "_build_rep", lambda d, fault, allow_large_oracle=False: build_rep(d)
+    )
+    for d in range(6):
+        assert _suite_checks(d, fault) == weyl[d], f"d={d}"
+    if fault is not None:
+        assert not all(passed for _, passed, _ in weyl[5])
+
+
+def test_without_an_oracle_the_symbolic_checks_still_run():
+    assert suites.suite_oracle(2, Context(2), None) == [
+        {"id": "orc-homomorphism", "pass": False, "witness": "no oracle available at d=2"},
+        {"id": "sym-associativity", "pass": True},
+        {"id": "sym-nilpotency-index", "pass": True},
+    ]
+    report = suites.run_suite("lusztig", 11, allow_large_oracle=True)
+    assert report["checks"] == [
+        {"id": "lusztig-identities", "pass": False, "witness": "no oracle available at d=11"}
+    ]
 
 
 def test_divided_powers():
