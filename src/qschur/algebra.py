@@ -22,7 +22,6 @@ from .laurent import LaurentPoly, gauss_binomial
 
 EKF = "EKF"
 FKE = "FKE"
-GENERATORS = ("e", "f", "K1", "K1inv", "K2", "K2inv")
 # The divided powers left and right of the idempotent, per orientation.
 GENERATOR_ORDER = {EKF: ("e", "f"), FKE: ("f", "e")}
 
@@ -431,23 +430,6 @@ def monomial_element(
 # ---------------------------------------------------------------------------
 # Multiplication
 # ---------------------------------------------------------------------------
-
-
-def right_mul_generator(x: Element, gen: str) -> Element:
-    """The product x * g for a single generator g, x in the EKF basis."""
-    if x.orientation != EKF:
-        raise ContextMismatch("right multiplication operates on EKF elements")
-    if gen not in GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}")
-    make = generator_element if gen in ("e", "f") else k_element
-    return multiply(x, make(x.ctx, gen))
-
-
-def right_mul_idempotent(x: Element, pair: tuple[int, int]) -> Element:
-    """The product x * K[b1',b2'], x in the EKF basis."""
-    if x.orientation != EKF:
-        raise ContextMismatch("right multiplication operates on EKF elements")
-    return multiply(x, idempotent_element(x.ctx, *pair))
 
 
 def _fe_binomial(c: int, a: int, weight: int, t: int) -> LaurentPoly:

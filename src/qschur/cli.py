@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, orientation: bool = True) -> None:
-        p.add_argument("--d", type=int, required=True, help="tensor degree d >= 0")
+        p.add_argument("--d", type=int, required=True, help="degree d >= 0")
         if orientation:
             p.add_argument(
                 "--orientation", type=_orientation, default=EKF, help="ekf or fke"
@@ -210,8 +210,7 @@ def cmd_verify(args) -> int:
             )
         if args.d > guard:
             print(
-                f"warning: suite {name!r} at d={args.d} exceeds its guard {guard}; "
-                "expect significant time and memory",
+                f"warning: suite {name!r} at d={args.d} exceeds its guard {guard}",
                 file=sys.stderr,
             )
     report = run_suites(

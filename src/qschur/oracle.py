@@ -29,7 +29,7 @@ from .algebra import GENERATOR_ORDER, ContextMismatch, Element, Monomial
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
 
 DEFAULT_MAX_D = 10
-CONVENTIONS = ("standard", "mirrored", "broken", "weyl")
+CONVENTIONS = ("standard", "broken", "weyl")
 
 
 class DimensionLimit(ValueError):
@@ -267,20 +267,13 @@ def _build_generator_matrices(d: int, convention: str):
                 # e clears the bit; group-like legs contribute +-1 per slot.
                 if convention == "standard":
                     w = sum(1 if b == 0 else -1 for b in bits[:j])
-                elif convention == "mirrored":
-                    w = sum(-1 if b == 0 else 1 for b in bits[j + 1 :])
                 else:  # deliberately wrong leg placement, for negative controls
                     w = sum(-1 if b == 0 else 1 for b in bits[:j])
                 key = (src & ~mask, src)
                 e_entries[key] = e_entries.get(key, LaurentPoly.zero()) + LaurentPoly.v(w)
             else:
-                # f sets the bit.
-                if convention == "standard":
-                    w = sum(1 if b == 1 else -1 for b in bits[j + 1 :])
-                elif convention == "mirrored":
-                    w = sum(-1 if b == 1 else 1 for b in bits[:j])
-                else:
-                    w = sum(1 if b == 1 else -1 for b in bits[j + 1 :])
+                # f sets the bit, identically in both conventions.
+                w = sum(1 if b == 1 else -1 for b in bits[j + 1 :])
                 key = (src | mask, src)
                 f_entries[key] = f_entries.get(key, LaurentPoly.zero()) + LaurentPoly.v(w)
     return _generator_matrices(dim, e_entries, f_entries, k1_exps, k2_exps)
@@ -318,20 +311,23 @@ def build_rep(
 ) -> OracleRep:
     """Construct the representation in one convention.
 
-    ``convention=None`` means ``"standard"``, the tensor power; ``"weyl"`` is
-    the direct sum of the Weyl modules.  No other convention is tried.
-    With ``self_check`` the defining relations are verified, and a failure
-    aborts the build rather than returning a silently wrong oracle.
+    ``convention=None`` means ``"standard"``, the tensor power; ``"broken"``
+    is the tensor power with a deliberately wrong coproduct, and ``"weyl"``
+    is the direct sum of the Weyl modules.  No other convention is tried.
+    ``max_d`` bounds only the tensor power, whose dimension is 2^d; the Weyl
+    modules are built at every degree.  With ``self_check`` the defining
+    relations are verified, and a failure aborts the build rather than
+    returning a silently wrong oracle.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d > max_d:
-        raise DimensionLimit(f"degree {d} exceeds the configured maximum {max_d}")
     convention = "standard" if convention is None else convention
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     if convention == "weyl":
         matrices = _build_weyl_matrices(d)
+    elif d > max_d:
+        raise DimensionLimit(f"degree {d} exceeds the configured maximum {max_d}")
     else:
         matrices = _build_generator_matrices(d, convention)
     rep = OracleRep(d, *matrices, convention=convention)

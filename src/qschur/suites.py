@@ -1,7 +1,7 @@
 """Theorem-verification suites with machine-readable reports.
 
-Each suite checks a family of exact identities, symbolically and (within the
-oracle's degree cap) against the Weyl-module matrix representation.
+Each suite checks a family of exact identities, symbolically and against the
+Weyl-module matrix representation, which is built at every degree.
 Reports follow one schema: ``{"d", "suite", "checks": [{"id", "pass",
 "witness"?}], "pass"}``.  Every check is wrapped so that an unexpected
 exception becomes a failed check instead of a crash; the fault-injection
@@ -11,6 +11,7 @@ knobs exist precisely so tests can prove the suites catch broken builds.
 from __future__ import annotations
 
 import random
+import weakref
 from math import comb
 
 from . import algebra, oracle
@@ -39,10 +40,6 @@ def _crashed(cid: str, exc: Exception) -> dict:
     return {"id": cid, "pass": False, "witness": f"{type(exc).__name__}: {exc}"}
 
 
-def _no_oracle(cid: str, d: int) -> dict:
-    return {"id": cid, "pass": False, "witness": f"no oracle available at d={d}"}
-
-
 def _run(checks: list, cid: str, fn) -> None:
     """Run one check; fn returns None (pass) or a witness string (fail)."""
     try:
@@ -64,13 +61,25 @@ def _elements_equal(x, y) -> str | None:
     return f"{format_element(x)} != {format_element(y)}"
 
 
+# The representations in use, keyed by (d, fault, allow_large_oracle).  One
+# stays here only while some caller holds it, as run_suites does for the
+# length of its loop, so that all its suites share one build; a failed build
+# raises before it is stored, and so is retried and reported by each suite.
+_REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _build_rep(d: int, fault: str | None, allow_large_oracle: bool = False):
-    oracle_cap = oracle.DEFAULT_MAX_D if allow_large_oracle else ORACLE_MAX_D
-    if d > oracle_cap:
-        return None
+    key = (d, fault, allow_large_oracle)
+    cached = _REPS.get(key)
+    if cached is not None:
+        return cached
     if fault == "broken-coproduct":
-        return oracle.build_rep(d, convention="broken", self_check=False)
-    return oracle.build_rep(d, convention="weyl")
+        cap = oracle.DEFAULT_MAX_D if allow_large_oracle else ORACLE_MAX_D
+        rep = oracle.build_rep(d, max_d=cap, convention="broken", self_check=False)
+    else:
+        rep = oracle.build_rep(d, convention="weyl")
+    _REPS[key] = rep
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -193,48 +202,47 @@ def suite_relations(d: int, ctx: Context, rep) -> list[dict]:
 
     _run(checks, "sym-k1-spectrum-complete", spectrum_complete)
 
-    if rep is not None:
-        for c in oracle.verify_defining_relations(rep)["checks"]:
-            checks.append({**c, "id": "orc-" + c["id"]})
+    for c in oracle.verify_defining_relations(rep)["checks"]:
+        checks.append({**c, "id": "orc-" + c["id"]})
 
-        ident_m = oracle.LaurentMatrix.identity(rep.dim)
-        kmat = (rep.k1 * rep.k1).scale(v(-d))
+    ident_m = oracle.LaurentMatrix.identity(rep.dim)
+    kmat = (rep.k1 * rep.k1).scale(v(-d))
 
-        def oracle_k_minimal_poly():
+    def oracle_k_minimal_poly():
+        acc = ident_m
+        for i in range(d + 1):
+            acc = acc * (kmat - ident_m.scale(v(d - 2 * i)))
+        return None if acc.is_zero else f"nonzero entries {sorted(acc.entries)[:3]}"
+
+    _run(checks, "orc-k-minimal-poly", oracle_k_minimal_poly)
+
+    def oracle_spectrum():
+        got = sorted(set(rep.k1.diagonal_exponents()))
+        want = list(range(d + 1))
+        return None if got == want else f"K1 exponents {got} != {want}"
+
+    _run(checks, "orc-k1-eigenvalue-spectrum", oracle_spectrum)
+
+    def oracle_spectrum_complete():
+        for j in range(d + 1):
             acc = ident_m
             for i in range(d + 1):
-                acc = acc * (kmat - ident_m.scale(v(d - 2 * i)))
-            return None if acc.is_zero else f"nonzero entries {sorted(acc.entries)[:3]}"
+                if i != j:
+                    acc = acc * (rep.k1 - ident_m.scale(v(i)))
+            if acc.is_zero:
+                return f"matrix product omitting v^{j} vanishes"
+        return None
 
-        _run(checks, "orc-k-minimal-poly", oracle_k_minimal_poly)
+    _run(checks, "orc-k1-spectrum-complete", oracle_spectrum_complete)
 
-        def oracle_spectrum():
-            got = sorted(set(rep.k1.diagonal_exponents()))
-            want = list(range(d + 1))
-            return None if got == want else f"K1 exponents {got} != {want}"
-
-        _run(checks, "orc-k1-eigenvalue-spectrum", oracle_spectrum)
-
-        def oracle_spectrum_complete():
-            for j in range(d + 1):
-                acc = ident_m
-                for i in range(d + 1):
-                    if i != j:
-                        acc = acc * (rep.k1 - ident_m.scale(v(i)))
-                if acc.is_zero:
-                    return f"matrix product omitting v^{j} vanishes"
-            return None
-
-        _run(checks, "orc-k1-spectrum-complete", oracle_spectrum_complete)
-
-        _run(
-            checks,
-            "orc-symbolic-agreement",
-            lambda: None
-            if oracle.matrix_of_element(rep, multiply(e, f) - multiply(f, e))
-            == rep.e * rep.f - rep.f * rep.e
-            else "symbolic commutator disagrees with the matrix commutator",
-        )
+    _run(
+        checks,
+        "orc-symbolic-agreement",
+        lambda: None
+        if oracle.matrix_of_element(rep, multiply(e, f) - multiply(f, e))
+        == rep.e * rep.f - rep.f * rep.e
+        else "symbolic commutator disagrees with the matrix commutator",
+    )
     return checks
 
 
@@ -294,25 +302,24 @@ def suite_idempotents(d: int, ctx: Context, rep) -> list[dict]:
 
     _run(checks, "sym-identity-neutral", identity_neutral)
 
-    if rep is not None:
-        def projectors():
-            total = oracle.LaurentMatrix(rep.dim)
-            mats = {}
-            for b1, b2 in ctx.idempotents:
-                proj = oracle.idempotent_projector(rep, b1, b2)
-                mats[(b1, b2)] = proj
-                if not (proj * proj) == proj:
-                    return f"projector K[{b1},{b2}] is not idempotent"
-                total = total + proj
-            if total != oracle.LaurentMatrix.identity(rep.dim):
-                return "projectors do not sum to the identity matrix"
-            for p, mp in mats.items():
-                for q, mq in mats.items():
-                    if p != q and not (mp * mq).is_zero:
-                        return f"projectors {p} and {q} are not orthogonal"
-            return None
+    def projectors():
+        total = oracle.LaurentMatrix(rep.dim)
+        mats = {}
+        for b1, b2 in ctx.idempotents:
+            proj = oracle.idempotent_projector(rep, b1, b2)
+            mats[(b1, b2)] = proj
+            if not (proj * proj) == proj:
+                return f"projector K[{b1},{b2}] is not idempotent"
+            total = total + proj
+        if total != oracle.LaurentMatrix.identity(rep.dim):
+            return "projectors do not sum to the identity matrix"
+        for p, mp in mats.items():
+            for q, mq in mats.items():
+                if p != q and not (mp * mq).is_zero:
+                    return f"projectors {p} and {q} are not orthogonal"
+        return None
 
-        _run(checks, "orc-projector-partition", projectors)
+    _run(checks, "orc-projector-partition", projectors)
     return checks
 
 
@@ -345,27 +352,25 @@ def suite_reduction(d: int, ctx: Context, rep) -> list[dict]:
 
         _run(checks, f"sym-reduction-emits-canonical-{tag}", structural)
 
-        if rep is not None:
+        def oracle_agreement(orientation=orientation):
+            outer, inner = algebra.GENERATOR_ORDER[orientation]
+            for a in range(d + 1):
+                for b1 in range(d + 1):
+                    for c in range(d + 1):
+                        quad = (a, b1, d - b1, c)
+                        if algebra.reduction_defect(ctx, quad, orientation) <= 0:
+                            continue
+                        raw = (
+                            oracle.matrix_of_divided_power(rep, outer, a)
+                            * oracle.idempotent_projector(rep, b1, d - b1)
+                            * oracle.matrix_of_divided_power(rep, inner, c)
+                        )
+                        red = algebra.reduce_monomial(ctx, quad, orientation)
+                        if raw != oracle.matrix_of_element(rep, red):
+                            return f"straightening of {quad} ({orientation}) disagrees"
+            return None
 
-            def oracle_agreement(orientation=orientation):
-                outer, inner = algebra.GENERATOR_ORDER[orientation]
-                for a in range(d + 1):
-                    for b1 in range(d + 1):
-                        for c in range(d + 1):
-                            quad = (a, b1, d - b1, c)
-                            if algebra.reduction_defect(ctx, quad, orientation) <= 0:
-                                continue
-                            raw = (
-                                oracle.matrix_of_divided_power(rep, outer, a)
-                                * oracle.idempotent_projector(rep, b1, d - b1)
-                                * oracle.matrix_of_divided_power(rep, inner, c)
-                            )
-                            red = algebra.reduce_monomial(ctx, quad, orientation)
-                            if raw != oracle.matrix_of_element(rep, red):
-                                return f"straightening of {quad} ({orientation}) disagrees"
-                return None
-
-            _run(checks, f"orc-reduction-matches-raw-word-{tag}", oracle_agreement)
+        _run(checks, f"orc-reduction-matches-raw-word-{tag}", oracle_agreement)
     return checks
 
 
@@ -389,27 +394,26 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             else f"{len(ctx.monomials(orientation))} monomials, expected {want}",
         )
 
-    if rep is not None:
-        for orientation in (EKF, FKE):
-            tag = orientation.lower()
+    for orientation in (EKF, FKE):
+        tag = orientation.lower()
 
-            def rank_check(orientation=orientation):
-                basis = ctx.monomials(orientation)
-                mats = [
-                    oracle.matrix_of_element(
-                        rep,
-                        algebra.Element(
-                            ctx, orientation, {m: LaurentPoly.one()}
-                        ),
-                    )
-                    for m in basis
-                ]
-                rank = oracle.span_rank(mats)
-                if rank != want or len(basis) != want:
-                    return f"rank {rank}, count {len(basis)}, expected {want}"
-                return None
+        def rank_check(orientation=orientation):
+            basis = ctx.monomials(orientation)
+            mats = [
+                oracle.matrix_of_element(
+                    rep,
+                    algebra.Element(
+                        ctx, orientation, {m: LaurentPoly.one()}
+                    ),
+                )
+                for m in basis
+            ]
+            rank = oracle.span_rank(mats)
+            if rank != want or len(basis) != want:
+                return f"rank {rank}, count {len(basis)}, expected {want}"
+            return None
 
-            _run(checks, f"orc-span-rank-{tag}", rank_check)
+        _run(checks, f"orc-span-rank-{tag}", rank_check)
 
     def unitriangular():
         order = algebra.kbinom_index_set(ctx)
@@ -438,31 +442,29 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 
     _run(checks, "sym-kbinom-round-trip", round_trip)
 
-    if rep is not None:
+    def closure():
+        # Out-of-range triples must straighten to canonical elements whose
+        # matrices match the raw word e^(a) [K1;b] f^(c).
+        triples = [
+            (a, b, c)
+            for a in range(d + 3)
+            for b in range(d + 3)
+            for c in range(d + 3)
+            if a + b + c > d
+        ]
+        rng.shuffle(triples)
+        for a, b, c in triples[:25]:
+            elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
+            raw = (
+                oracle.matrix_of_divided_power(rep, "e", a)
+                * oracle.diagonal_kbinom(rep.k1, 0, b)
+                * oracle.matrix_of_divided_power(rep, "f", c)
+            )
+            if oracle.matrix_of_element(rep, elt) != raw:
+                return f"ingested K-binomial word {(a, b, c)} disagrees with raw word"
+        return None
 
-        def closure():
-            # Out-of-range triples must straighten to canonical elements whose
-            # matrices match the raw word e^(a) [K1;b] f^(c).
-            triples = [
-                (a, b, c)
-                for a in range(d + 3)
-                for b in range(d + 3)
-                for c in range(d + 3)
-                if a + b + c > d
-            ]
-            rng.shuffle(triples)
-            for a, b, c in triples[:25]:
-                elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
-                raw = (
-                    oracle.matrix_of_divided_power(rep, "e", a)
-                    * oracle.diagonal_kbinom(rep.k1, 0, b)
-                    * oracle.matrix_of_divided_power(rep, "f", c)
-                )
-                if oracle.matrix_of_element(rep, elt) != raw:
-                    return f"ingested K-binomial word {(a, b, c)} disagrees with raw word"
-            return None
-
-        _run(checks, "orc-kbinom-closure", closure)
+    _run(checks, "orc-kbinom-closure", closure)
     return checks
 
 
@@ -505,10 +507,7 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                     return f"product of basis monomials {basis[i]} and {basis[j]} disagrees"
         return None
 
-    if rep is None:
-        checks.append(_no_oracle("orc-homomorphism", d))
-    else:
-        _run(checks, "orc-homomorphism", homomorphism)
+    _run(checks, "orc-homomorphism", homomorphism)
 
     def associativity():
         for _ in range(200):
@@ -521,27 +520,24 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 
     _run(checks, "sym-associativity", associativity)
 
-    if rep is not None:
-        _run(
-            checks,
-            "orc-identity-matrix",
-            lambda: None
-            if oracle.matrix_of_element(rep, identity_element(ctx))
-            == oracle.LaurentMatrix.identity(rep.dim)
-            else "identity element does not map to the identity matrix",
-        )
+    _run(
+        checks,
+        "orc-identity-matrix",
+        lambda: None
+        if oracle.matrix_of_element(rep, identity_element(ctx))
+        == oracle.LaurentMatrix.identity(rep.dim)
+        else "identity element does not map to the identity matrix",
+    )
 
     def nilpotency():
         for gen in ("e", "f"):
             if not algebra.divided_power_element(ctx, gen, d + 1).is_zero:
                 return f"{gen}^({d+1}) is not zero symbolically"
-            if rep is not None and not oracle.matrix_of_divided_power(rep, gen, d + 1).is_zero:
+            if not oracle.matrix_of_divided_power(rep, gen, d + 1).is_zero:
                 return f"{gen}^({d+1}) is not zero in the oracle"
         return None
 
     _run(checks, "sym-nilpotency-index", nilpotency)
-    if rep is None:
-        return checks
 
     def fke_products():
         fke_basis = ctx.monomials(FKE)
@@ -588,8 +584,11 @@ def run_suite(
 ) -> dict:
     """Run one named suite at degree d and return its report.
 
-    ``allow_large_oracle`` lifts the oracle's economy cap of d <= 6 up to the
-    hard limit of the representation builder; expect exponential cost.
+    The suite checks against the Weyl modules, which are built at every d.
+    Only the ``broken-coproduct`` fault builds the 2^d-dimensional tensor
+    power instead, capped at ``ORACLE_MAX_D``; ``allow_large_oracle`` lifts
+    that cap to the builder's limit ``oracle.DEFAULT_MAX_D``.  Past the cap
+    the build fails, and the report is one failed ``oracle-build`` check.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -611,13 +610,10 @@ def run_suite(
     elif name == "oracle":
         checks = suite_oracle(d, ctx, rep, seed)
     else:
-        if rep is None:
-            checks = [_no_oracle("lusztig-identities", d)]
-        else:
-            try:
-                checks = oracle.verify_lusztig_identities(rep)["checks"]
-            except Exception as exc:
-                checks = [_crashed("lusztig-identities", exc)]
+        try:
+            checks = oracle.verify_lusztig_identities(rep)["checks"]
+        except Exception as exc:
+            checks = [_crashed("lusztig-identities", exc)]
     return oracle._report(d, name, checks)
 
 
@@ -629,7 +625,15 @@ def run_suites(
     fault: str | None = None,
     allow_large_oracle: bool = False,
 ) -> dict:
-    """Run several suites and merge their checks into one report."""
+    """Run several suites and merge their checks into one report.
+
+    All the suites share one representation, built here and held for the
+    loop; if that build fails, each suite reports the failure itself.
+    """
+    try:
+        held = _build_rep(d, fault, allow_large_oracle)  # memoised while held
+    except Exception:
+        held = None
     checks: list[dict] = []
     for name in names:
         report = run_suite(

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, all at tolerance zero.
 
 Every check is an exact algebraic identity, verified symbolically and/or
-against the independent tensor-power oracle.  Run with ``pytest -v -s
+against an independent oracle: the Weyl-module representation that the
+suites use, or the tensor-power one that criterion 1 builds at d <= 6.  Run with ``pytest -v -s
 tests/test_acceptance.py`` to see one line per criterion.
 """
 

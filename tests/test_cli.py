@@ -216,12 +216,12 @@ def test_verify_guard_and_override(capsys):
     code, _, err = run(capsys, "verify", "--d", "7", "--suite", "relations")
     assert code == 2
     assert "guard" in err
-    # the override lifts the guard, warns, and scales the oracle past d = 6
+    # the override lifts the guard and warns; the oracle runs past d = 6
     code, out, err = run(
         capsys, "verify", "--d", "7", "--suite", "relations", "--max-d-override"
     )
     assert code == 0
-    assert "warning" in err
+    assert err == "warning: suite 'relations' at d=7 exceeds its guard 6\n"
     assert "orc-ef-commutator" in out
 
 

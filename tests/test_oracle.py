@@ -76,6 +76,8 @@ def test_dimension_limit():
         build_rep(11)
     with pytest.raises(DimensionLimit):
         build_rep(4, max_d=3)
+    # The limit bounds only the 2^d-dimensional tensor power.
+    assert build_rep(11, max_d=3, convention="weyl").dim == 42
 
 
 @pytest.mark.parametrize("d", range(5))
@@ -95,9 +97,12 @@ def test_mutated_rep_fails_with_witness():
 
 
 def test_conventions():
-    for name in ("standard", "mirrored", "weyl"):
+    assert oracle.CONVENTIONS == ("standard", "broken", "weyl")
+    for name in ("standard", "weyl"):
         rep = build_rep(3, convention=name)
         assert verify_defining_relations(rep)["pass"]
+    with pytest.raises(ValueError, match="unknown convention"):
+        build_rep(3, convention="mirrored")
     with pytest.raises(CoproductCheckFailed):
         build_rep(2, convention="broken")
     broken = build_rep(2, convention="broken", self_check=False)
@@ -115,7 +120,7 @@ def test_a_failing_standard_convention_is_not_replaced(monkeypatch):
     monkeypatch.setattr(oracle, "_build_generator_matrices", standard_is_broken)
     with pytest.raises(CoproductCheckFailed, match="^standard convention fails "):
         build_rep(2)
-    assert build_rep(2, convention="mirrored").convention == "mirrored"
+    assert build_rep(2, convention="weyl").convention == "weyl"
     # With the tensor conventions healthy again and the Weyl modules wrong,
     # no tensor convention may stand in for the one the suites use either:
     # the build, the suites and verify all fail.
@@ -186,16 +191,40 @@ def test_weyl_and_tensor_oracles_give_the_same_reports(fault, monkeypatch):
         assert not all(passed for _, passed, _ in weyl[5])
 
 
-def test_without_an_oracle_the_symbolic_checks_still_run():
-    assert suites.suite_oracle(2, Context(2), None) == [
-        {"id": "orc-homomorphism", "pass": False, "witness": "no oracle available at d=2"},
-        {"id": "sym-associativity", "pass": True},
-        {"id": "sym-nilpotency-index", "pass": True},
-    ]
+def test_the_weyl_oracle_backs_every_suite_at_every_degree():
+    checks = suites.run_suite("oracle", 2)["checks"]
+    assert {"id": "sym-associativity", "pass": True} in checks
+    assert {"id": "sym-nilpotency-index", "pass": True} in checks
+    # Past the tensor power's limit of d = 10, and past the fault's cap.
     report = suites.run_suite("lusztig", 11, allow_large_oracle=True)
-    assert report["checks"] == [
-        {"id": "lusztig-identities", "pass": False, "witness": "no oracle available at d=11"}
-    ]
+    assert report["pass"] and len(report["checks"]) == 398
+    checks = suites.run_suite("idempotents", 10)["checks"]
+    assert {"id": "orc-projector-partition", "pass": True} in checks
+
+
+def test_the_fault_past_the_tensor_cap_fails_its_build():
+    report = suites.run_suite("basis", 7, fault="broken-coproduct")
+    assert not report["pass"]
+    [check] = report["checks"]
+    assert check["id"] == "oracle-build"
+    assert check["witness"].startswith("DimensionLimit: ")
+
+
+def test_run_suites_builds_one_representation(monkeypatch):
+    calls = []
+    healthy = oracle.build_rep
+
+    def counted(d, **kwargs):
+        calls.append(d)
+        return healthy(d, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_rep", counted)
+    assert suites.run_suites(list(suites.SUITES), 3)["pass"]
+    assert calls == [3]
+    # The memo holds no representation once the run has returned.
+    assert len(suites._REPS) == 0
+    assert suites.run_suite("relations", 3)["pass"]
+    assert calls == [3, 3]
 
 
 def test_divided_powers():
