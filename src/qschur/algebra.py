@@ -108,13 +108,13 @@ class Context:
         basis = self._basis.get(orientation)
         if basis is None:
             _check_orientation(orientation)
+            d = self.d
             out = []
-            for a in range(self.d + 1):
-                for b1 in range(self.d + 1):
-                    for c in range(self.d + 1):
-                        m = Monomial(a, b1, self.d - b1, c, orientation)
-                        if self.is_canonical(m):
-                            out.append(m)
+            for a in range(d + 1):
+                for b1 in range(d + 1):
+                    middle = b1 if orientation == EKF else d - b1
+                    top = d if self.unstraightened else d - a - middle
+                    out.extend(Monomial(a, b1, d - b1, c, orientation) for c in range(top + 1))
             basis = self._basis[orientation] = tuple(out)
         return list(basis)
 
@@ -562,12 +562,9 @@ def _kbinom_order_key(triple: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def kbinom_index_set(ctx: Context) -> list[tuple[int, int, int]]:
     """Triples (a, b, c) with a + b + c <= d, in the triangular order."""
+    d = ctx.d
     triples = [
-        (a, b, c)
-        for a in range(ctx.d + 1)
-        for b in range(ctx.d + 1)
-        for c in range(ctx.d + 1)
-        if a + b + c <= ctx.d
+        (a, b, c) for a in range(d + 1) for b in range(d - a + 1) for c in range(d - a - b + 1)
     ]
     triples.sort(key=_kbinom_order_key)
     return triples

@@ -21,11 +21,10 @@ matrices with exact arithmetic.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .algebra import GENERATOR_ORDER, ContextMismatch, Element, Monomial
+from .algebra import GENERATOR_ORDER, ContextMismatch, Element
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
 
 DEFAULT_MAX_D = 10
@@ -43,7 +42,7 @@ class CoproductCheckFailed(RuntimeError):
 class LaurentMatrix:
     """A sparse square matrix with Laurent polynomial entries."""
 
-    __slots__ = ("dim", "entries", "__weakref__")
+    __slots__ = ("dim", "entries")
 
     def __init__(
         self,
@@ -159,34 +158,6 @@ class LaurentMatrix:
             raise ValueError("matrix has off-diagonal entries")
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[r, c, v.to_json()] for (r, c), v in sorted(self.entries.items())],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> LaurentMatrix:
-        return LaurentMatrix(
-            data["dim"],
-            {(r, c): LaurentPoly.from_json(v) for r, c, v in data["entries"]},
-        )
-
-
-def _from_cells(dim: int, cells: dict[tuple[int, int], dict[int, int]]) -> LaurentMatrix:
-    """The matrix whose entries are the raw {exponent: coefficient} cells.
-
-    Zero coefficients, and cells left empty by them, are dropped here once,
-    so that no zero entry is ever stored and ``==`` can compare entry maps.
-    """
-    entries = {}
-    for key, cell in cells.items():
-        terms = {e: c for e, c in cell.items() if c}
-        if terms:
-            val = entries[key] = LaurentPoly.__new__(LaurentPoly)
-            val._terms = terms
-    return LaurentMatrix._raw(dim, entries)
-
 
 @dataclass
 class OracleRep:
@@ -196,13 +167,10 @@ class OracleRep:
     modules, the others are the tensor power in one comultiplication
     convention.  ``dim`` is read off the matrices.
 
-    Immutable after construction apart from two caches.  ``_dp_cache``
+    Immutable after construction apart from one cache, ``_dp_cache``: it
     holds the divided powers keyed by (gen, m) and the idempotent
-    projectors keyed by ("K", b1, b2).  ``_words`` is a weak memo of the
-    word matrices outer^(a) K[b1,b2] inner^(c), keyed by
-    (outer, a, b1, b2, c): a word stays in it only while some caller still
-    holds it, so the memo never keeps a matrix alive by itself.  Each entry
-    is a pure function of its key, so a concurrent duplicate fill is benign.
+    projectors keyed by ("K", b1, b2).  Each entry is a pure function of
+    its key, so a concurrent duplicate fill is benign.
 
     Matrices handed out by this module, cached ones included, are shared:
     treat them and their ``entries`` as read-only.
@@ -217,9 +185,6 @@ class OracleRep:
     k2_inv: LaurentMatrix
     convention: str = "standard"
     _dp_cache: dict = field(default_factory=dict, repr=False)
-    _words: weakref.WeakValueDictionary = field(
-        default_factory=weakref.WeakValueDictionary, repr=False
-    )
 
     @property
     def dim(self) -> int:
@@ -389,44 +354,21 @@ def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
     return proj
 
 
-def _word(rep: OracleRep, outer: str, inner: str, m: Monomial) -> LaurentMatrix:
-    """The matrix of outer^(a) K[b1,b2] inner^(c), through the weak memo."""
-    key = (outer, m.a, m.b1, m.b2, m.c)
-    word = rep._words.get(key)
-    if word is None:
-        word = rep._words[key] = (
+def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
+    """Evaluate a symbolic element to its matrix: the sum over its terms of
+    coeff * outer^(a) K[b1,b2] inner^(c)."""
+    if x.ctx.d != rep.d:
+        raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
+    outer, inner = GENERATOR_ORDER[x.orientation]
+    total = LaurentMatrix(rep.dim)
+    for m, coeff in x.terms.items():
+        word = (
             matrix_of_divided_power(rep, outer, m.a)
             * idempotent_projector(rep, m.b1, m.b2)
             * matrix_of_divided_power(rep, inner, m.c)
         )
-    return word
-
-
-def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
-    """Evaluate a symbolic element to its matrix.
-
-    A single monomial with coefficient 1 returns its shared word matrix.
-    """
-    if x.ctx.d != rep.d:
-        raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
-    outer, inner = GENERATOR_ORDER[x.orientation]
-    if len(x.terms) == 1:
-        ((m, coeff),) = x.terms.items()
-        if coeff._terms == {0: 1}:
-            return _word(rep, outer, inner, m)
-    cells: dict[tuple[int, int], dict[int, int]] = {}
-    for m, coeff in x.terms.items():
-        word = _word(rep, outer, inner, m)
-        scalar = coeff._terms.items()
-        for key, val in word.entries.items():
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = {}
-            for e1, c1 in val._terms.items():
-                for e2, c2 in scalar:
-                    e = e1 + e2
-                    cell[e] = cell.get(e, 0) + c1 * c2
-    return _from_cells(rep.dim, cells)
+        total = total + word.scale(coeff)
+    return total
 
 
 def oracle_equal(rep: OracleRep, x: Element, y: Element) -> bool:

@@ -70,6 +70,20 @@ def test_context_monomials_are_memoised_as_fresh_lists():
         ctx.monomials("KEF")
 
 
+def test_direct_enumeration_equals_the_filtered_scan():
+    # The canonical basis and the K-binomial index set, each against the
+    # filtered (d+1)^3 scan it replaces, in the same order.
+    for d in range(9):
+        cube = [(a, b, c) for a in range(d + 1) for b in range(d + 1) for c in range(d + 1)]
+        for unstraightened in (False, True):
+            ctx = Context(d, unstraightened=unstraightened)
+            for orientation in (EKF, FKE):
+                scan = [Monomial(a, b1, d - b1, c, orientation) for a, b1, c in cube]
+                assert ctx.monomials(orientation) == [m for m in scan if ctx.is_canonical(m)]
+        scan = sorted((t for t in cube if sum(t) <= d), key=lambda t: (-(t[0] + t[2]), t[0], t[1]))
+        assert kbinom_index_set(Context(d)) == scan
+
+
 def test_element_keys_are_validated():
     ctx = Context(1)
     with pytest.raises(IndexOutOfRange):
