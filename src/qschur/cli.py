@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .algebra import EKF, FKE, Context, Element, multiply, reduce_monomial, reduction_defect
 from .laurent import LaurentPoly
@@ -180,23 +181,19 @@ def cmd_table(args) -> int:
             file=sys.stderr,
         )
     ctx = Context(args.d)
-    basis = ctx.monomials(EKF)
-    lines = []
-    for ml in basis:
-        x = Element(ctx, EKF, {ml: LaurentPoly.one()})
-        for mr in basis:
-            y = Element(ctx, EKF, {mr: LaurentPoly.one()})
-            product = multiply(x, y)
-            lines.append(
-                json.dumps(
-                    {
-                        "lhs": {"a": ml.a, "b1": ml.b1, "b2": ml.b2, "c": ml.c},
-                        "rhs": {"a": mr.a, "b1": mr.b1, "b2": mr.b2, "c": mr.c},
-                        "product": element_to_json(product),
-                    }
-                )
-            )
-    _emit("\n".join(lines), args.out)
+    one = LaurentPoly.one()
+    operands = [
+        (json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c}), Element(ctx, EKF, {m: one}))
+        for m in ctx.monomials(EKF)
+    ]
+    zero = json.dumps(element_to_json(Element(ctx, EKF)))
+    # Each line is what json.dumps gives for {"lhs": ..., "rhs": ..., "product": ...}.
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for lhs, x in operands:
+            for rhs, y in operands:
+                product = multiply(x, y)
+                text = json.dumps(element_to_json(product)) if product else zero
+                fh.write(f'{{"lhs": {lhs}, "rhs": {rhs}, "product": {text}}}\n')
     return 0
 
 

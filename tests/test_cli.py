@@ -1,5 +1,6 @@
 """The command-line surface and its exit-code contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -188,6 +189,40 @@ def test_table_guard(capsys):
     code, _, err = run(capsys, "table", "--d", "7")
     assert code == 2
     assert "guard" in err
+
+
+def test_table_bytes_are_pinned(tmp_path, capsys):
+    # Each table line is assembled by hand, so its bytes are pinned: the
+    # recorded digest at d=2, stdout equal to the --out file, and every line
+    # exactly what json.dumps gives for the parsed line.
+    code, out, _ = run(capsys, "table", "--d", "2")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "add67ec44488d13c9212f88050050c08b439b1b5ff3b4e9832db772763f41d75"
+    )
+    for d in range(4):
+        code, out, _ = run(capsys, "table", "--d", str(d))
+        assert code == 0
+        target = tmp_path / f"table-{d}.jsonl"
+        assert run(capsys, "table", "--d", str(d), "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+        for line in out.splitlines():
+            assert line == json.dumps(json.loads(line))
+
+
+def test_table_out_errors(tmp_path, capsys):
+    missing = tmp_path / "missing-dir" / "t.jsonl"
+    code, out, err = run(capsys, "table", "--d", "1", "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # The guard runs before the output file is opened.
+    existing = tmp_path / "t.jsonl"
+    existing.write_bytes(b"keep me\n")
+    code, out, err = run(capsys, "table", "--d", "7", "--out", str(existing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "guard" in err
+    assert existing.read_bytes() == b"keep me\n"
 
 
 def test_verify_all_passes(capsys):

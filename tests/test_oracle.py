@@ -369,22 +369,7 @@ def test_idempotent_projector_is_cached_per_representation():
     assert idempotent_projector(other, 1, 1) == first
 
 
-# -- matrix_of_element against a sum of matrices ----------------------------
-
-
-def reference_matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
-    """The element's matrix as a plain sum of scaled word matrices, built
-    with LaurentMatrix + and scale, which matrix_of_element must equal."""
-    total = LaurentMatrix(rep.dim)
-    outer, inner = ("e", "f") if x.orientation == EKF else ("f", "e")
-    for m, coeff in x.terms.items():
-        word = (
-            matrix_of_divided_power(rep, outer, m.a)
-            * idempotent_projector(rep, m.b1, m.b2)
-            * matrix_of_divided_power(rep, inner, m.c)
-        )
-        total = total + word.scale(coeff)
-    return total
+# -- matrix_of_element as an algebra map ------------------------------------
 
 
 def stores_no_zero(m: LaurentMatrix) -> bool:
@@ -429,10 +414,9 @@ def rep_of(d: int) -> OracleRep:
 
 
 @st.composite
-def elements(draw):
-    d = draw(st.integers(0, 3))
-    orientation = draw(st.sampled_from((EKF, FKE)))
-    ctx = Context(d)
+def elements(draw, ctx=None, orientation=None):
+    ctx = Context(draw(st.integers(0, 3))) if ctx is None else ctx
+    orientation = draw(st.sampled_from((EKF, FKE))) if orientation is None else orientation
     basis = ctx.monomials(orientation)
     if draw(st.booleans()):
         # A single monomial with coefficient 1 is its word matrix.
@@ -441,16 +425,39 @@ def elements(draw):
     return Element(ctx, orientation, terms)
 
 
-@settings(max_examples=100, deadline=None)
-@given(elements())
+@st.composite
+def algebra_map_cases(draw):
+    """An element x, a split of its terms into two parts, a second element
+    of the same degree and orientation, and a scalar."""
+    x = draw(elements())
+    y = draw(elements(x.ctx, x.orientation))
+    split = draw(st.lists(st.booleans(), min_size=len(x.terms), max_size=len(x.terms)))
+    return x, split, y, draw(polys)
+
+
 # The word entry v^2 + 1 times 1 - v^2 cancels inside one cell.
-@example(Element(Context(3), EKF, {Monomial(1, 1, 2, 1, EKF): ONE - V(2)}))
-def test_matrix_of_element_matches_reference(x):
+CANCELLING = Element(Context(3), EKF, {Monomial(1, 1, 2, 1, EKF): ONE - V(2)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_map_cases())
+@example((CANCELLING, [True], CANCELLING, V(1)))
+def test_matrix_of_element_is_a_faithful_algebra_map(case):
+    x, split, y, c = case
     rep = rep_of(x.ctx.d)
     got = matrix_of_element(rep, x)
-    assert got == reference_matrix_of_element(rep, x)
     assert stores_no_zero(got)
     assert got.is_zero == x.is_zero  # the tensor representation is faithful
+
+    items = x.sorted_terms()
+    x1, x2 = (
+        Element(x.ctx, x.orientation, [t for t, first in zip(items, split) if first == part])
+        for part in (True, False)
+    )
+    assert x1 + x2 == x
+    assert got == matrix_of_element(rep, x1) + matrix_of_element(rep, x2)
+    assert matrix_of_element(rep, x.scale(c)) == got.scale(c)
+    assert matrix_of_element(rep, multiply(x, y)) == got * matrix_of_element(rep, y)
 
 
 def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
