@@ -36,13 +36,29 @@ class ContextMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Monomial:
-    """A monomial e^(a) K[b1,b2] f^(c), or f^(a) K[b1,b2] e^(c) for FKE."""
+    """A monomial e^(a) K[b1,b2] f^(c), or f^(a) K[b1,b2] e^(c) for FKE.
+
+    It sits between two idempotents: ``left`` and ``right`` are the K1
+    indices of the idempotents K[left, d-left] and K[right, d-right] with
+    K[left, d-left] * m = m = m * K[right, d-right].  Since the idempotents
+    are orthogonal, m * n is zero unless ``m.right == n.left``.
+    """
 
     a: int
     b1: int
     b2: int
     c: int
     orientation: str = EKF
+
+    @property
+    def left(self) -> int:
+        """K1 index of the idempotent on the left: e^(a) K[b1,b2] = K[b1+a, b2-a] e^(a)."""
+        return self.b1 + self.a if self.orientation == EKF else self.b1 - self.a
+
+    @property
+    def right(self) -> int:
+        """K1 index of the idempotent on the right: K[b1,b2] f^(c) = f^(c) K[b1+c, b2-c]."""
+        return self.b1 + self.c if self.orientation == EKF else self.b1 - self.c
 
     @property
     def fake_degree(self) -> int:
@@ -61,12 +77,15 @@ class Monomial:
 class Context:
     """Fixed degree d with its idempotent index set.
 
-    Immutable after construction apart from a memo of the canonical basis
-    per orientation, and safe to share across threads: the basis is a pure
-    function of the context and the orientation, so a duplicate fill from
-    two threads is harmless.  The ``unstraightened`` flag disables the
-    reduction machinery; it exists only so verification suites can prove
-    they would catch a faulty build.
+    Immutable after construction apart from two memos: the canonical basis
+    per orientation, and the straightened form of each EKF monomial that a
+    product has met, keyed by ``(a, b1, c)`` and held as a tuple of
+    ``(Monomial, LaurentPoly)`` pairs.  Both die with the context.  A context
+    is safe to share across threads: each memo entry is a pure function of
+    the context and its key, so a duplicate fill from two threads is
+    harmless.  The ``unstraightened`` flag disables the reduction machinery;
+    it exists only so verification suites can prove they would catch a
+    faulty build.
     """
 
     def __init__(self, d: int, *, unstraightened: bool = False):
@@ -76,6 +95,9 @@ class Context:
         self.idempotents = [(b1, d - b1) for b1 in range(d + 1)]
         self.unstraightened = unstraightened
         self._basis: dict[str, tuple[Monomial, ...]] = {}
+        self._straightened: dict[
+            tuple[int, int, int], tuple[tuple[Monomial, LaurentPoly], ...]
+        ] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Context):
@@ -192,7 +214,7 @@ class Element:
     # -- linear operations -------------------------------------------------
 
     def _require_compatible(self, other: Element) -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(f"contexts differ: d={self.ctx.d} vs d={other.ctx.d}")
         if self.orientation != other.orientation:
             raise ContextMismatch(
@@ -396,7 +418,7 @@ def reduce_monomial(
 
     s = reduction_defect(ctx, quad, orientation)
     if s <= 0:
-        return Element(ctx, orientation, {mono: LaurentPoly.one()})
+        return Element._raw(ctx, orientation, {mono: LaurentPoly.one()})
 
     if orientation == FKE:
         # Apply the e<->f, K1<->K2 symmetry, straighten in EKF, map back.
@@ -449,14 +471,16 @@ def _add_monomial_product(
     scalar: LaurentPoly,
     terms: dict[Monomial, LaurentPoly],
 ) -> None:
-    """Add scalar * m * n to ``terms`` for EKF monomials with m.b1 + m.c == n.b1 + n.a.
+    """Add scalar * m * n to ``terms`` for EKF monomials with m.right == n.left.
 
     (e^(a) K[b1,b2] f^(c)) (e^(a') K[b1',b2'] f^(c')) is the sum over t of
     [c-a'-w; t] [a+a'-t; a] [c+c'-t; c'] e^(a+a'-t) K[b1'-c+t, b2'+c-t] f^(c+c'-t)
     with w = b1' - b2': the middle f^(c) e^(a') commutes by :func:`_fe_binomial`,
     and the adjacent divided powers merge.  Terms whose idempotent index would
-    be negative vanish; the rest are straightened by :func:`reduce_monomial`.
+    be negative vanish; the rest are straightened by :func:`reduce_monomial`,
+    once per context (see :class:`Context`).
     """
+    memo = ctx._straightened
     weight = n.b1 - n.b2
     for t in range(max(0, m.c - n.b1), min(m.c, n.a) + 1):
         coeff = (
@@ -467,17 +491,20 @@ def _add_monomial_product(
         if coeff.is_zero:
             continue
         coeff = coeff * scalar
-        b1 = n.b1 - m.c + t
-        quad = (m.a + n.a - t, b1, ctx.d - b1, m.c + n.c - t)
-        for mono, r in reduce_monomial(ctx, quad, EKF).terms.items():
+        a, b1, c = m.a + n.a - t, n.b1 - m.c + t, m.c + n.c - t
+        reduced = memo.get((a, b1, c))
+        if reduced is None:
+            reduced = tuple(reduce_monomial(ctx, (a, b1, ctx.d - b1, c), EKF).terms.items())
+            memo[(a, b1, c)] = reduced
+        for mono, r in reduced:
             _add_term(terms, mono, r * coeff)
 
 
 def multiply(x: Element, y: Element) -> Element:
     """The product x * y, summed term by term with the closed-form monomial product.
 
-    A pair of EKF monomials e^(a) K[b1,b2] f^(c) and e^(a') K[b1',b2'] f^(c')
-    multiplies to zero unless b1 + c = b1' + a', since the idempotents are
+    A pair of EKF monomials m, n multiplies to zero unless
+    ``m.right == n.left`` (b1 + c = b1' + a'), since the idempotents are
     orthogonal; no binomial is computed for such a pair.
     """
     x._require_compatible(y)
@@ -489,7 +516,7 @@ def multiply(x: Element, y: Element) -> Element:
     terms: dict[Monomial, LaurentPoly] = {}
     for m, u in x.terms.items():
         for n, w in y.terms.items():
-            if m.b1 + m.c == n.b1 + n.a:
+            if m.right == n.left:
                 _add_monomial_product(x.ctx, m, n, u * w, terms)
     return Element._raw(x.ctx, EKF, terms)
 

@@ -183,15 +183,16 @@ def cmd_table(args) -> int:
     ctx = Context(args.d)
     one = LaurentPoly.one()
     operands = [
-        (json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c}), Element(ctx, EKF, {m: one}))
+        (m, json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c}), Element(ctx, EKF, {m: one}))
         for m in ctx.monomials(EKF)
     ]
     zero = json.dumps(element_to_json(Element(ctx, EKF)))
     # Each line is what json.dumps gives for {"lhs": ..., "rhs": ..., "product": ...}.
+    # A pair whose idempotents do not meet multiplies to zero (see multiply).
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for lhs, x in operands:
-            for rhs, y in operands:
-                product = multiply(x, y)
+        for m, lhs, x in operands:
+            for n, rhs, y in operands:
+                product = multiply(x, y) if m.right == n.left else None
                 text = json.dumps(element_to_json(product)) if product else zero
                 fh.write(f'{{"lhs": {lhs}, "rhs": {rhs}, "product": {text}}}\n')
     return 0

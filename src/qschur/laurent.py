@@ -10,6 +10,7 @@ caches.  Rational values (from evaluating at a point) are plain
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -148,10 +149,29 @@ class LaurentPoly:
         return LaurentPoly.coerce(other) + (-self)
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
-        other = LaurentPoly.coerce(other)
+        """The product; a one-term factor s*v^k shifts and scales the other one.
+
+        Multiplying by s*v^k needs no convolution: the other factor's
+        exponents move by k and its coefficients scale by s.  A factor equal
+        to 1 returns the other factor itself, not a copy, which is safe
+        because no operation changes a polynomial in place.
+
+        >>> (LaurentPoly.v(2) + 3) * LaurentPoly({-1: -2})
+        LaurentPoly('-2v - 6v^-1')
+        """
+        x, y = self, LaurentPoly.coerce(other)
+        if len(x._terms) == 1:
+            x, y = y, x
+        if len(y._terms) == 1:
+            ((k, s),) = y._terms.items()
+            if k == 0 and s == 1:
+                return x
+            out = LaurentPoly.__new__(LaurentPoly)
+            out._terms = {e + k: c * s for e, c in x._terms.items()}
+            return out
         terms: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in x._terms.items():
+            for e2, c2 in y._terms.items():
                 e = e1 + e2
                 n = terms.get(e, 0) + c1 * c2
                 if n:
@@ -258,8 +278,36 @@ class LaurentPoly:
         return [[e, str(c)] for e, c in self.items()]
 
     @staticmethod
-    def from_json(data: Iterable) -> LaurentPoly:
-        return LaurentPoly({int(e): int(c) for e, c in data})
+    def from_json(data: list) -> LaurentPoly:
+        """Parse the form :meth:`to_json` writes, or raise ValueError.
+
+        ``data`` is a list of two-element lists ``[exponent, coefficient]``;
+        the exponent is an integer and the coefficient an integer or a
+        decimal-integer string.  Floats, bools and other strings are
+        rejected rather than coerced.
+        """
+        bad = ValueError(f"expected a list of [exponent, coefficient] integer pairs: {data!r}")
+        if not isinstance(data, list):
+            raise bad
+        terms = []
+        for pair in data:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise bad
+            exp, coeff = pair
+            if isinstance(coeff, str) and _DECIMAL_RE.fullmatch(coeff):
+                coeff = int(coeff)
+            if not (_is_int(exp) and _is_int(coeff)):
+                raise bad
+            terms.append((exp, coeff))
+        return LaurentPoly(terms)
+
+
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; bools and floats are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -268,8 +316,6 @@ def parse_laurent(text: str) -> LaurentPoly:
     >>> parse_laurent("v^2 - 3 + 2v^-1")
     LaurentPoly('v^2 - 3 + 2v^-1')
     """
-    import re
-
     s = text.strip()
     if s == "0":
         return LaurentPoly.zero()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .algebra import EKF, FKE, GENERATOR_ORDER, Context, Element, reduce_monomial, zero_element
-from .laurent import LaurentPoly, parse_laurent
+from .laurent import LaurentPoly, _is_int, parse_laurent
 
 
 class ParseError(ValueError):
@@ -159,11 +159,6 @@ def element_to_json(x: Element) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; bools and floats are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _json_int(obj, key: str, where: str) -> int:
     value = obj.get(key) if isinstance(obj, dict) else None
     if not _is_int(value):
@@ -171,30 +166,14 @@ def _json_int(obj, key: str, where: str) -> int:
     return value
 
 
-_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
-
-
 def _json_coeff(obj, where: str) -> LaurentPoly:
-    """A 'coeff' list of [exponent, coefficient] pairs of integers; the
-    coefficient may also be a decimal-integer string, as written by
-    :func:`element_to_json`."""
-    error = ParseError(
-        f"{where} needs a 'coeff' list of [exponent, coefficient] integer pairs", 0
-    )
-    pairs = obj.get("coeff") if isinstance(obj, dict) else None
-    if not isinstance(pairs, list):
-        raise error
-    terms = []
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise error
-        exp, coeff = pair
-        if isinstance(coeff, str) and _DECIMAL_RE.fullmatch(coeff):
-            coeff = int(coeff)
-        if not (_is_int(exp) and _is_int(coeff)):
-            raise error
-        terms.append((exp, coeff))
-    return LaurentPoly(terms)
+    """A 'coeff' in the form :meth:`LaurentPoly.to_json` writes."""
+    try:
+        return LaurentPoly.from_json(obj.get("coeff") if isinstance(obj, dict) else None)
+    except ValueError:
+        raise ParseError(
+            f"{where} needs a 'coeff' list of [exponent, coefficient] integer pairs", 0
+        ) from None
 
 
 def element_from_json(data: dict, ctx: Context | None = None) -> Element:

@@ -1,5 +1,6 @@
 """The symbolic algebra: idempotent calculus, straightening, multiplication."""
 
+import contextlib
 import random
 from types import MappingProxyType
 
@@ -31,7 +32,7 @@ from qschur.algebra import (
     reduction_defect,
     zero_element,
 )
-from qschur import algebra
+from qschur import algebra, oracle, suites
 from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial
 from qschur.suites import run_suite
 
@@ -269,6 +270,75 @@ def test_product_formula_sign_is_caught_by_the_suites(monkeypatch, d):
         )
         for name in ("relations", "oracle"):
             assert not run_suite(name, d)["pass"], name
+
+
+def fill_straightening_memo(ctx):
+    """Multiply every pair of EKF basis units; skip the pairs that raise."""
+    units = [Element(ctx, EKF, {m: ONE}) for m in ctx.monomials(EKF)]
+    for x in units:
+        for y in units:
+            with contextlib.suppress(IndexOutOfRange):  # only when unstraightened
+                multiply(x, y)
+    return ctx._straightened
+
+
+@pytest.mark.parametrize("unstraightened", [False, True])
+def test_straightening_memo_holds_reduce_monomial(unstraightened):
+    for d in range(6):
+        ctx = Context(d, unstraightened=unstraightened)
+        memo = fill_straightening_memo(ctx)
+        assert memo or d == 0
+        for (a, b1, c), entry in memo.items():
+            assert isinstance(entry, tuple)
+            assert dict(entry) == reduce_monomial(ctx, (a, b1, d - b1, c), EKF).terms
+
+
+def test_straightening_memo_is_per_context():
+    for d in range(1, 4):
+        ctx = Context(d)
+        fault = Context(d, unstraightened=True)
+        memo = fill_straightening_memo(ctx)
+        assert fault._straightened == {}
+        fill_straightening_memo(fault)
+        assert fault._straightened is not memo
+        assert any(fault._straightened[key] != memo[key] for key in memo)
+        assert not any(
+            fault._straightened.get(key) is entry for key, entry in memo.items()
+        )
+
+
+def test_a_wrong_memo_entry_is_caught_by_the_oracle():
+    rep = suites._build_rep(2, None)
+    ctx = Context(2)
+    fill_straightening_memo(ctx)
+    assert all(c["pass"] for c in suites.suite_oracle(2, ctx, rep))
+    key, ((mono, coeff), *rest) = next(iter(ctx._straightened.items()))
+    ctx._straightened[key] = ((mono, -coeff), *rest)
+    checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
+    assert checks["orc-homomorphism"] is False
+
+
+@pytest.mark.parametrize("orientation", [EKF, FKE])
+def test_left_and_right_name_the_idempotents_at_each_end(orientation):
+    # K[left] M(m) = M(m) = M(m) K[right] in the Weyl oracle, and every basis
+    # pair with m.right != n.left multiplies to zero there and symbolically.
+    for d in range(6):
+        ctx = Context(d)
+        rep = suites._build_rep(d, None)
+        basis = ctx.monomials(orientation)
+        units = [Element(ctx, orientation, {m: ONE}) for m in basis]
+        matrices = [oracle.matrix_of_element(rep, x) for x in units]
+        for m, mat in zip(basis, matrices):
+            assert 0 <= m.left <= d and 0 <= m.right <= d
+            left = idempotent_element(ctx, m.left, d - m.left, orientation)
+            right = idempotent_element(ctx, m.right, d - m.right, orientation)
+            assert oracle.matrix_of_element(rep, left) * mat == mat
+            assert mat * oracle.matrix_of_element(rep, right) == mat
+        for m, x, mx in zip(basis, units, matrices):
+            for n, y, my in zip(basis, units, matrices):
+                if m.right != n.left:
+                    assert (mx * my).is_zero, (m, n)
+                    assert multiply(x, y).is_zero, (m, n)
 
 
 def test_multiply_rejects_mismatches():

@@ -1,5 +1,6 @@
 """Ring arithmetic, quantum combinatorics, and serialization."""
 
+import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qschur import suites
 from qschur.laurent import (
     DivisionByZero,
     EvalAtZero,
@@ -34,6 +36,30 @@ def classical_binomial(n: int, k: int) -> int:
 polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=5
 ).map(LaurentPoly)
+
+# Factors that take the one-term shortcut of LaurentPoly.__mul__ (1, s*v^k)
+# mixed with the zero polynomial and general sparse polynomials.
+factors = st.one_of(
+    st.just(LaurentPoly.one()),
+    st.just(LaurentPoly.zero()),
+    st.builds(
+        lambda s, k: LaurentPoly({k: s}), st.sampled_from([-2, -1, 1, 2]), st.integers(-6, 6)
+    ),
+    polys,
+)
+
+
+def term_map(x) -> dict:
+    return dict(x._terms) if isinstance(x, LaurentPoly) else ({0: x} if x else {})
+
+
+def reference_product(x: dict, y: dict) -> dict:
+    """Schoolbook convolution of two term maps, dropping zero coefficients."""
+    out: dict = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 # -- arithmetic --------------------------------------------------------------
@@ -68,6 +94,41 @@ def test_ring_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x + (-x) == LaurentPoly.zero()
+
+
+@given(st.one_of(factors, st.integers(-3, 3)), factors)
+def test_products_match_a_reference_convolution(x, y):
+    before = (term_map(x), term_map(y))
+    want = reference_product(*before)
+    for product in (x * y, y * x):
+        assert isinstance(product, LaurentPoly)
+        assert product._terms == want
+        assert 0 not in product._terms.values()
+    assert (term_map(x), term_map(y)) == before
+
+
+def test_a_dropped_monomial_shift_is_caught_by_the_suites(monkeypatch):
+    # Multiplying by s*v^k with the shift k left out must fail every suite
+    # that multiplies.  The representation is built with the healthy product
+    # and held, so the suites reuse it instead of failing at its build.
+    monkeypatch.setattr(suites, "_REPS", weakref.WeakValueDictionary())
+    held = suites._build_rep(2, None)  # noqa: F841
+    names = ("relations", "idempotents", "basis", "oracle", "lusztig")
+    for name in names:
+        assert suites.run_suite(name, 2)["pass"], name
+    healthy = LaurentPoly.__mul__
+
+    def unshifted(x, y):
+        y = LaurentPoly.coerce(y)
+        for p, q in ((x, y), (y, x)):
+            if len(q) == 1 and q.valuation() != 0:
+                return healthy(p, LaurentPoly({0: q.coefficient(q.valuation())}))
+        return healthy(x, y)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", unshifted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", unshifted)
+    for name in names:
+        assert not suites.run_suite(name, 2)["pass"], name
 
 
 # -- exact division ----------------------------------------------------------
@@ -201,6 +262,44 @@ def test_json_round_trip(x):
     data = x.to_json()
     assert data == sorted(data)
     assert LaurentPoly.from_json(data) == x
+
+
+def test_json_accepts_exactly_what_to_json_writes():
+    assert LaurentPoly.from_json([[-2, "-1"], [3, "+2"], [4, 5]]) == LaurentPoly(
+        {-2: -1, 3: 2, 4: 5}
+    )
+    assert LaurentPoly.from_json([]).is_zero
+    # The large-degree benchmark's unit coefficients.
+    for k in (-3, 0, 3):
+        for s in ("1", "-1"):
+            assert LaurentPoly.from_json([[k, s]]) == LaurentPoly({k: int(s)})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[0.9, 2.7]],
+        [[True, "3"]],
+        [[1, True]],
+        [[1.0, 1]],
+        [[0, "3.0"]],
+        [[0, " 3"]],
+        [[0, "\uff13"]],  # a fullwidth digit, which int() would accept
+        [[0, "0x3"]],
+        [[0, None]],
+        [["1", 1]],
+        [[0]],
+        [[0, 1, 2]],
+        [(0, 1)],
+        [0, 1],
+        "[[0, 1]]",
+        {0: 1},
+        None,
+    ],
+)
+def test_json_rejects_other_shapes(data):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(data)
 
 
 def test_parse_rejects_garbage():
