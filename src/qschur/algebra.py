@@ -79,11 +79,11 @@ class Context:
 
     Immutable after construction apart from two memos: the canonical basis
     per orientation, and the straightened form of each EKF monomial that a
-    product has met, keyed by ``(a, b1, c)`` and held as a tuple of
-    ``(Monomial, LaurentPoly)`` pairs.  Both die with the context.  A context
-    is safe to share across threads: each memo entry is a pure function of
-    the context and its key, so a duplicate fill from two threads is
-    harmless.  The ``unstraightened`` flag disables the reduction machinery;
+    product or a K-binomial expansion has met, keyed by ``(a, b1, c)`` and
+    held as a tuple of ``(Monomial, LaurentPoly)`` pairs.  Both die with the
+    context.  A context is safe to share across threads: each memo entry is
+    a pure function of the context and its key, so a duplicate fill from two
+    threads is harmless.  The ``unstraightened`` flag disables the reduction machinery;
     it exists only so verification suites can prove they would catch a
     faulty build.
     """
@@ -464,6 +464,21 @@ def _fe_binomial(c: int, a: int, weight: int, t: int) -> LaurentPoly:
     return gauss_binomial(c - a - weight, t)
 
 
+def _straightened_terms(
+    ctx: Context, a: int, b1: int, c: int
+) -> tuple[tuple[Monomial, LaurentPoly], ...]:
+    """The terms of e^(a) K[b1, d-b1] f^(c) after :func:`reduce_monomial`.
+
+    Each is straightened once per context (see :class:`Context`); a
+    monomial whose straightening raises is not stored.
+    """
+    reduced = ctx._straightened.get((a, b1, c))
+    if reduced is None:
+        reduced = tuple(reduce_monomial(ctx, (a, b1, ctx.d - b1, c), EKF).terms.items())
+        ctx._straightened[(a, b1, c)] = reduced
+    return reduced
+
+
 def _add_monomial_product(
     ctx: Context,
     m: Monomial,
@@ -477,10 +492,8 @@ def _add_monomial_product(
     [c-a'-w; t] [a+a'-t; a] [c+c'-t; c'] e^(a+a'-t) K[b1'-c+t, b2'+c-t] f^(c+c'-t)
     with w = b1' - b2': the middle f^(c) e^(a') commutes by :func:`_fe_binomial`,
     and the adjacent divided powers merge.  Terms whose idempotent index would
-    be negative vanish; the rest are straightened by :func:`reduce_monomial`,
-    once per context (see :class:`Context`).
+    be negative vanish; the rest are straightened by :func:`_straightened_terms`.
     """
-    memo = ctx._straightened
     weight = n.b1 - n.b2
     for t in range(max(0, m.c - n.b1), min(m.c, n.a) + 1):
         coeff = (
@@ -492,11 +505,7 @@ def _add_monomial_product(
             continue
         coeff = coeff * scalar
         a, b1, c = m.a + n.a - t, n.b1 - m.c + t, m.c + n.c - t
-        reduced = memo.get((a, b1, c))
-        if reduced is None:
-            reduced = tuple(reduce_monomial(ctx, (a, b1, ctx.d - b1, c), EKF).terms.items())
-            memo[(a, b1, c)] = reduced
-        for mono, r in reduced:
+        for mono, r in _straightened_terms(ctx, a, b1, c):
             _add_term(terms, mono, r * coeff)
 
 
@@ -570,13 +579,14 @@ def convert_orientation(x: Element, target: str) -> Element:
 
 def _kbinom_unit(ctx: Context, a: int, b: int, c: int) -> Element:
     """e^(a) [K1; b] f^(c) expanded into the EKF canonical basis."""
-    result = zero_element(ctx)
+    terms: dict[Monomial, LaurentPoly] = {}
     for b1, _ in ctx.idempotents:
         coeff = gauss_binomial(b1, b)
         if coeff.is_zero:
             continue
-        result = result + reduce_monomial(ctx, (a, b1, ctx.d - b1, c), EKF).scale(coeff)
-    return result
+        for mono, r in _straightened_terms(ctx, a, b1, c):
+            _add_term(terms, mono, r * coeff)
+    return Element._raw(ctx, EKF, terms)
 
 
 def _kbinom_order_key(triple: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -211,13 +211,7 @@ def cmd_verify(args) -> int:
                 f"warning: suite {name!r} at d={args.d} exceeds its guard {guard}",
                 file=sys.stderr,
             )
-    report = run_suites(
-        names,
-        args.d,
-        seed=args.seed,
-        fault=args.inject_fault,
-        allow_large_oracle=args.max_d_override,
-    )
+    report = run_suites(names, args.d, seed=args.seed, fault=args.inject_fault)
     if args.format == "json":
         _emit(json.dumps(report), args.out)
     else:

@@ -1,19 +1,12 @@
-"""Independent ground truth: exact matrix representations of the algebra.
+"""Independent ground truth: an exact matrix representation of the algebra.
 
-Two representations are built here.  The one the suites use is the direct
-sum of the Weyl modules L(d-k, k), 0 <= k <= d/2: over Q(v) the algebra is
-split semisimple with exactly these simple modules, and the squares of their
-dimensions d-2k+1 sum to C(d+3, 3), so the sum is faithful while its
-dimension is only floor((d+2)^2/4).  Its generator images are the plain
-U_v(sl2) module formulas, built from quantum integers alone.
-
-The other is the degree-d tensor power of the two-dimensional natural
-module, kept as an independent cross-check at small d and as the base of
-the broken-coproduct fault.  Its basis vectors are bit-strings of length d,
-encoded as integers with the leftmost slot most significant, and its
-generator images are built from the explicit 2x2 matrices by iterating the
-comultiplication, which distributes group-like legs K1*K2^-1 (or its
-inverse) over the tensor slots.
+It is the direct sum of the Weyl modules L(d-k, k),
+0 <= k <= d/2: over Q(v) the algebra is split semisimple with exactly these
+simple modules, and the squares of their dimensions d-2k+1 sum to
+C(d+3, 3), so the sum is faithful while its dimension is only
+floor((d+2)^2/4).  Its generator images are the plain U_v(sl2) module
+formulas, built from quantum integers alone, and every build is checked
+against the defining relations before it is used.
 
 Everything downstream of the symbolic algebra is checked against these
 matrices with exact arithmetic.
@@ -27,16 +20,9 @@ from dataclasses import dataclass, field
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
 
-DEFAULT_MAX_D = 10
-CONVENTIONS = ("standard", "broken", "weyl")
-
-
-class DimensionLimit(ValueError):
-    """Requested degree exceeds the configured maximum."""
-
 
 class CoproductCheckFailed(RuntimeError):
-    """The chosen convention's matrices fail the defining relations."""
+    """The built matrices fail the defining relations."""
 
 
 class LaurentMatrix:
@@ -142,9 +128,6 @@ class LaurentMatrix:
             self.dim, {k: v.exact_div(scalar) for k, v in self.entries.items()}
         )
 
-    def transpose(self) -> LaurentMatrix:
-        return LaurentMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
     def diagonal_exponents(self) -> list[int]:
         """Exponents m with entry v^m on the diagonal; requires the matrix
         to be diagonal with unit monomial entries."""
@@ -163,9 +146,8 @@ class LaurentMatrix:
 class OracleRep:
     """Exact generator matrices of one degree-d representation.
 
-    ``convention`` names it: ``"weyl"`` is the direct sum of the Weyl
-    modules, the others are the tensor power in one comultiplication
-    convention.  ``dim`` is read off the matrices.
+    :func:`build_rep` makes the direct sum of the Weyl modules; ``dim`` is
+    read off the matrices.
 
     Immutable after construction apart from one cache, ``_dp_cache``: it
     holds the divided powers keyed by (gen, m) and the idempotent
@@ -183,65 +165,11 @@ class OracleRep:
     k1_inv: LaurentMatrix
     k2: LaurentMatrix
     k2_inv: LaurentMatrix
-    convention: str = "standard"
     _dp_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.e.dim
-
-
-def _generator_matrices(
-    dim: int,
-    e_entries: dict[tuple[int, int], LaurentPoly],
-    f_entries: dict[tuple[int, int], LaurentPoly],
-    k1_exps: list[int],
-    k2_exps: list[int],
-):
-    """The six generator images from the e and f entries and the K exponents."""
-    return (
-        LaurentMatrix(dim, e_entries),
-        LaurentMatrix(dim, f_entries),
-        LaurentMatrix.diagonal([LaurentPoly.v(z) for z in k1_exps]),
-        LaurentMatrix.diagonal([LaurentPoly.v(-z) for z in k1_exps]),
-        LaurentMatrix.diagonal([LaurentPoly.v(o) for o in k2_exps]),
-        LaurentMatrix.diagonal([LaurentPoly.v(-o) for o in k2_exps]),
-    )
-
-
-def _slot_bits(n: int, d: int) -> list[int]:
-    return [(n >> (d - 1 - j)) & 1 for j in range(d)]
-
-
-def _build_generator_matrices(d: int, convention: str):
-    """The generators on the tensor power in one comultiplication convention."""
-    dim = 1 << d
-    e_entries: dict[tuple[int, int], LaurentPoly] = {}
-    f_entries: dict[tuple[int, int], LaurentPoly] = {}
-    k1_exps: list[int] = []
-    k2_exps: list[int] = []
-    for src in range(dim):
-        bits = _slot_bits(src, d)
-        ones = sum(bits)
-        zeros = d - ones
-        k1_exps.append(zeros)
-        k2_exps.append(ones)
-        for j, bit in enumerate(bits):
-            mask = 1 << (d - 1 - j)
-            if bit == 1:
-                # e clears the bit; group-like legs contribute +-1 per slot.
-                if convention == "standard":
-                    w = sum(1 if b == 0 else -1 for b in bits[:j])
-                else:  # deliberately wrong leg placement, for negative controls
-                    w = sum(-1 if b == 0 else 1 for b in bits[:j])
-                key = (src & ~mask, src)
-                e_entries[key] = e_entries.get(key, LaurentPoly.zero()) + LaurentPoly.v(w)
-            else:
-                # f sets the bit, identically in both conventions.
-                w = sum(1 if b == 1 else -1 for b in bits[j + 1 :])
-                key = (src | mask, src)
-                f_entries[key] = f_entries.get(key, LaurentPoly.zero()) + LaurentPoly.v(w)
-    return _generator_matrices(dim, e_entries, f_entries, k1_exps, k2_exps)
 
 
 def _build_weyl_matrices(d: int):
@@ -264,45 +192,32 @@ def _build_weyl_matrices(d: int):
                 e_entries[(base + j - 1, base + j)] = quantum_int(n - j + 1)
             if j < n:
                 f_entries[(base + j + 1, base + j)] = quantum_int(j + 1)
-    return _generator_matrices(len(k1_exps), e_entries, f_entries, k1_exps, k2_exps)
+    dim = len(k1_exps)
+    return (
+        LaurentMatrix(dim, e_entries),
+        LaurentMatrix(dim, f_entries),
+        LaurentMatrix.diagonal([LaurentPoly.v(z) for z in k1_exps]),
+        LaurentMatrix.diagonal([LaurentPoly.v(-z) for z in k1_exps]),
+        LaurentMatrix.diagonal([LaurentPoly.v(o) for o in k2_exps]),
+        LaurentMatrix.diagonal([LaurentPoly.v(-o) for o in k2_exps]),
+    )
 
 
-def build_rep(
-    d: int,
-    *,
-    max_d: int = DEFAULT_MAX_D,
-    convention: str | None = None,
-    self_check: bool = True,
-) -> OracleRep:
-    """Construct the representation in one convention.
+def build_rep(d: int) -> OracleRep:
+    """The direct sum of the Weyl modules at degree d, checked before use.
 
-    ``convention=None`` means ``"standard"``, the tensor power; ``"broken"``
-    is the tensor power with a deliberately wrong coproduct, and ``"weyl"``
-    is the direct sum of the Weyl modules.  No other convention is tried.
-    ``max_d`` bounds only the tensor power, whose dimension is 2^d; the Weyl
-    modules are built at every degree.  With ``self_check`` the defining
-    relations are verified, and a failure aborts the build rather than
-    returning a silently wrong oracle.
+    The defining relations are verified on the built matrices, and a failure
+    aborts the build rather than returning a silently wrong oracle.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    convention = "standard" if convention is None else convention
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    if convention == "weyl":
-        matrices = _build_weyl_matrices(d)
-    elif d > max_d:
-        raise DimensionLimit(f"degree {d} exceeds the configured maximum {max_d}")
-    else:
-        matrices = _build_generator_matrices(d, convention)
-    rep = OracleRep(d, *matrices, convention=convention)
-    if self_check:
-        failed = [c for c in verify_defining_relations(rep)["checks"] if not c["pass"]]
-        if failed:
-            raise CoproductCheckFailed(
-                f"{convention} convention fails {failed[0]['id']}: {failed[0]['witness']} "
-                f"({len(failed)} relation checks failed)"
-            )
+    rep = OracleRep(d, *_build_weyl_matrices(d))
+    failed = [c for c in verify_defining_relations(rep)["checks"] if not c["pass"]]
+    if failed:
+        raise CoproductCheckFailed(
+            f"Weyl modules fail {failed[0]['id']}: {failed[0]['witness']} "
+            f"({len(failed)} relation checks failed)"
+        )
     return rep
 
 

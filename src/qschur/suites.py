@@ -16,7 +16,7 @@ from math import comb
 
 from . import algebra, oracle
 from .algebra import EKF, FKE, Context, identity_element, k_element, multiply, zero_element
-from .laurent import LaurentPoly, gauss_binomial
+from .laurent import LaurentPoly, gauss_binomial, quantum_int
 
 SUITES = ("relations", "idempotents", "reduction", "basis", "oracle", "lusztig")
 SUITE_GUARDS = {
@@ -27,8 +27,7 @@ SUITE_GUARDS = {
     "oracle": 6,
     "lusztig": 6,
 }
-ORACLE_MAX_D = 6
-FAULTS = (None, "skip-reduction", "broken-coproduct")
+FAULTS = (None, "skip-reduction", "broken-module")
 
 
 def schur_dimension(d: int) -> int:
@@ -61,23 +60,31 @@ def _elements_equal(x, y) -> str | None:
     return f"{format_element(x)} != {format_element(y)}"
 
 
-# The representations in use, keyed by (d, fault, allow_large_oracle).  One
-# stays here only while some caller holds it, as run_suites does for the
-# length of its loop, so that all its suites share one build; a failed build
-# raises before it is stored, and so is retried and reported by each suite.
+# The representations in use, keyed by (d, fault).  One stays here only
+# while some caller holds it, as run_suites does for the length of its loop,
+# so that all its suites share one build; a failed build raises before it is
+# stored, and so is retried and reported by each suite.
 _REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _build_rep(d: int, fault: str | None, allow_large_oracle: bool = False):
-    key = (d, fault, allow_large_oracle)
+def _weyl_with_short_e(d: int):
+    """The Weyl generators with e v_j = [n-j] v_{j-1} instead of [n-j+1] v_{j-1}."""
+    e, *rest = oracle._build_weyl_matrices(d)
+    # Each entry of e is a quantum integer [m], whose degree is m - 1.
+    short = {key: quantum_int(val.degree()) for key, val in e.entries.items()}
+    return (oracle.LaurentMatrix(e.dim, short), *rest)
+
+
+def _build_rep(d: int, fault: str | None):
+    key = (d, fault)
     cached = _REPS.get(key)
     if cached is not None:
         return cached
-    if fault == "broken-coproduct":
-        cap = oracle.DEFAULT_MAX_D if allow_large_oracle else ORACLE_MAX_D
-        rep = oracle.build_rep(d, max_d=cap, convention="broken", self_check=False)
+    if fault == "broken-module":
+        # Unchecked, so that the suites rather than the build must catch it.
+        rep = oracle.OracleRep(d, *_weyl_with_short_e(d))
     else:
-        rep = oracle.build_rep(d, convention="weyl")
+        rep = oracle.build_rep(d)
     _REPS[key] = rep
     return rep
 
@@ -556,21 +563,13 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def run_suite(
-    name: str,
-    d: int,
-    *,
-    seed: int = 0,
-    fault: str | None = None,
-    allow_large_oracle: bool = False,
-) -> dict:
+def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> dict:
     """Run one named suite at degree d and return its report.
 
     The suite checks against the Weyl modules, which are built at every d.
-    Only the ``broken-coproduct`` fault builds the 2^d-dimensional tensor
-    power instead, capped at ``ORACLE_MAX_D``; ``allow_large_oracle`` lifts
-    that cap to the builder's limit ``oracle.DEFAULT_MAX_D``.  Past the cap
-    the build fails, and the report is one failed ``oracle-build`` check.
+    The ``broken-module`` fault gives e a wrong coefficient there and skips
+    the build's self-check; at d = 0, where e is zero, it changes nothing.
+    A build that fails is reported as one failed ``oracle-build`` check.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
@@ -578,7 +577,7 @@ def run_suite(
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
     ctx = Context(d, unstraightened=(fault == "skip-reduction"))
     try:
-        rep = _build_rep(d, fault, allow_large_oracle)
+        rep = _build_rep(d, fault)
     except Exception as exc:  # a wrong oracle is a failed check, not a crash
         return oracle._report(d, name, [_crashed("oracle-build", exc)])
     if name == "relations":
@@ -600,12 +599,7 @@ def run_suite(
 
 
 def run_suites(
-    names: list[str],
-    d: int,
-    *,
-    seed: int = 0,
-    fault: str | None = None,
-    allow_large_oracle: bool = False,
+    names: list[str], d: int, *, seed: int = 0, fault: str | None = None
 ) -> dict:
     """Run several suites and merge their checks into one report.
 
@@ -613,14 +607,12 @@ def run_suites(
     loop; if that build fails, each suite reports the failure itself.
     """
     try:
-        held = _build_rep(d, fault, allow_large_oracle)  # memoised while held
+        held = _build_rep(d, fault)  # memoised while held
     except Exception:
         held = None
     checks: list[dict] = []
     for name in names:
-        report = run_suite(
-            name, d, seed=seed, fault=fault, allow_large_oracle=allow_large_oracle
-        )
+        report = run_suite(name, d, seed=seed, fault=fault)
         for c in report["checks"]:
             checks.append({**c, "id": f"{name}/{c['id']}"})
     return oracle._report(d, "+".join(names), checks)

@@ -2,8 +2,12 @@
 
 Every check is an exact algebraic identity, verified symbolically and/or
 against an independent oracle: the Weyl-module representation that the
-suites use, or the tensor-power one that criterion 1 builds at d <= 6.  Run with ``pytest -v -s
-tests/test_acceptance.py`` to see one line per criterion.
+suites use, or the tensor power of the natural module (``tensor_power.py``
+beside this file), which criterion 1 builds at d <= 6.  The golden digests
+pin every check at d = 4, healthy and under each fault; the
+``broken-module`` fault is the Weyl modules with a wrong coefficient in e.
+Run with ``pytest -v -s tests/test_acceptance.py`` to see one line per
+criterion.
 """
 
 import hashlib
@@ -12,6 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from qschur import oracle
 from qschur.algebra import EKF, Context, Element
 from qschur.laurent import LaurentPoly, gauss_binomial, quantum_int
 from qschur.oracle import (
@@ -20,7 +25,8 @@ from qschur.oracle import (
     matrix_of_element,
     span_rank,
 )
-from qschur.suites import SUITES, run_suite, run_suites, schur_dimension
+from qschur.suites import SUITES, _weyl_with_short_e, run_suite, run_suites, schur_dimension
+from tensor_power import tensor_rep
 
 ONE = LaurentPoly.one()
 V = LaurentPoly.v
@@ -45,7 +51,7 @@ def test_criterion_1_dimension_reproduction():
     with criterion(1, "dimension reproduction"):
         for d in range(7):
             ctx = Context(d)
-            rep = build_rep(d)
+            rep = tensor_rep(d)
             basis = ctx.monomials(EKF)
             assert len(basis) == expected[d] == schur_dimension(d)
             mats = [
@@ -120,19 +126,22 @@ def test_criterion_8_quantum_combinatorics_kernel():
                 assert gauss_binomial(r, s).evaluate(1) == triangle[r][s]
 
 
-def test_criterion_9_negative_controls():
+def test_criterion_9_negative_controls(monkeypatch):
     with criterion(9, "negative controls catch injected faults"):
         # Disabling the straightening step must break the dimension and
         # reduction suites.
         for d in (2, 3):
             assert not run_suite("basis", d, fault="skip-reduction")["pass"]
             assert not run_suite("reduction", d, fault="skip-reduction")["pass"]
-        # A mutated comultiplication must break the presentation relations.
+        # A wrong Weyl module must break the presentation relations.
         for d in (2, 3):
-            assert not run_suite("relations", d, fault="broken-coproduct")["pass"]
-        # The mutated convention cannot even pass the build-time self-check.
+            assert not run_suite("relations", d, fault="broken-module")["pass"]
+        # The wrong module cannot even pass the build-time self-check.
+        wrong = _weyl_with_short_e(3)
+        monkeypatch.setattr(oracle, "_build_weyl_matrices", lambda d: wrong)
         with pytest.raises(CoproductCheckFailed):
-            build_rep(3, convention="broken")
+            build_rep(3)
+        monkeypatch.undo()
         # The healthy build passes the same suites (the controls are not
         # vacuous).
         for name in ("basis", "reduction", "relations"):
@@ -143,7 +152,7 @@ def test_criterion_9_negative_controls():
     "fault, prefix, failing",
     [
         (None, "e0b40de54e35d310", 0),
-        ("broken-coproduct", "66ff5f6a35b59816", 16),
+        ("broken-module", "ad8dd140cec43a4e", 18),
         ("skip-reduction", "8d37df988720b446", 23),
     ],
 )

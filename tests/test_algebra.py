@@ -1,6 +1,7 @@
 """The symbolic algebra: idempotent calculus, straightening, multiplication."""
 
 import contextlib
+import itertools
 import random
 from types import MappingProxyType
 
@@ -282,15 +283,28 @@ def fill_straightening_memo(ctx):
     return ctx._straightened
 
 
+def fill_memo_through_kbinom(ctx):
+    """Expand every K-binomial triple with entries up to d + 1, largest first;
+    skip the ones that raise."""
+    top = ctx.d + 2
+    for triple in reversed(list(itertools.product(range(top), repeat=3))):
+        with contextlib.suppress(IndexOutOfRange):  # only when unstraightened
+            change_from_kbinom_basis(ctx, {triple: ONE})
+    return ctx._straightened
+
+
 @pytest.mark.parametrize("unstraightened", [False, True])
 def test_straightening_memo_holds_reduce_monomial(unstraightened):
-    for d in range(6):
-        ctx = Context(d, unstraightened=unstraightened)
-        memo = fill_straightening_memo(ctx)
-        assert memo or d == 0
-        for (a, b1, c), entry in memo.items():
-            assert isinstance(entry, tuple)
-            assert dict(entry) == reduce_monomial(ctx, (a, b1, d - b1, c), EKF).terms
+    # A straightening that raises must leave no entry: reduce_monomial would
+    # raise again below.
+    for fill in (fill_straightening_memo, fill_memo_through_kbinom):
+        for d in range(6):
+            ctx = Context(d, unstraightened=unstraightened)
+            memo = fill(ctx)
+            assert memo
+            for (a, b1, c), entry in memo.items():
+                assert isinstance(entry, tuple)
+                assert dict(entry) == reduce_monomial(ctx, (a, b1, d - b1, c), EKF).terms
 
 
 def test_straightening_memo_is_per_context():

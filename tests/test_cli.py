@@ -269,7 +269,7 @@ def test_verify_fault_injection_fails(capsys):
         "--suite",
         "relations",
         "--inject-fault",
-        "broken-coproduct",
+        "broken-module",
     )
     assert code == 1
     assert "FAIL" in out
@@ -285,6 +285,16 @@ def test_verify_fault_injection_fails(capsys):
         "skip-reduction",
     )
     assert code == 1
+
+
+def test_the_retired_fault_name_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--d", "2", "--inject-fault", "broken-coproduct")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: qschur verify ")
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.startswith("qschur verify: error: argument --inject-fault: ")
+    assert "'broken-coproduct'" in line
 
 
 def _one_wrong_entry_per_product(monkeypatch) -> None:
@@ -325,13 +335,13 @@ def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
         "--d",
         "2",
         "--inject-fault",
-        "broken-coproduct",
+        "broken-module",
     )
     assert code == 1
     assert out.startswith("FAIL  oracle/orc-homomorphism  [NotDivisible: ")
     # A representation built before the fault reaches the identities, which
     # raise on the wrong products.
-    monkeypatch.setattr(oracle, "build_rep", lambda d, **kwargs: prebuilt)
+    monkeypatch.setattr(oracle, "build_rep", lambda d: prebuilt)
     code, out, _ = run(capsys, "verify", "--suite", "lusztig", "--d", "2")
     assert code == 1
     assert out.startswith("FAIL  lusztig/lusztig-identities  [ValueError: ")
@@ -343,7 +353,7 @@ def test_a_failed_oracle_build_is_reported_on_one_line(capsys, monkeypatch):
     assert code == 1
     first, last = out.splitlines()
     assert first.startswith(
-        "FAIL  relations/oracle-build  [CoproductCheckFailed: weyl convention fails "
+        "FAIL  relations/oracle-build  [CoproductCheckFailed: Weyl modules fail "
     )
     assert first.endswith(" relation checks failed)]")
     assert len(first) < 300
@@ -359,7 +369,7 @@ def test_verify_reports_a_wrong_k2_inverse(d, capsys, monkeypatch):
 
     wrong = build_rep(d)
     wrong.k2_inv = wrong.k2_inv.scale(LaurentPoly.v(1))
-    monkeypatch.setattr(oracle, "build_rep", lambda d, **kwargs: wrong)
+    monkeypatch.setattr(oracle, "build_rep", lambda d: wrong)
     code, out, _ = run(capsys, "verify", "--suite", "relations", "--d", str(d))
     assert code == 1
     lines = out.splitlines()

@@ -12,7 +12,6 @@ from qschur import oracle, suites
 from qschur.cli import main
 from qschur.oracle import (
     CoproductCheckFailed,
-    DimensionLimit,
     LaurentMatrix,
     OracleRep,
     build_rep,
@@ -25,35 +24,37 @@ from qschur.oracle import (
     verify_defining_relations,
     verify_lusztig_identities,
 )
+from tensor_power import tensor_rep
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
 
 
 def test_degree_one_matrices():
-    rep = build_rep(1)
-    assert rep.e == LaurentMatrix(2, {(0, 1): ONE})
-    assert rep.f == LaurentMatrix(2, {(1, 0): ONE})
-    assert rep.k1 == LaurentMatrix(2, {(0, 0): V(1), (1, 1): ONE})
-    assert rep.k2 == LaurentMatrix(2, {(0, 0): ONE, (1, 1): V(1)})
+    # At d = 1 the Weyl module L(1,0) is the natural module.
+    for rep in (build_rep(1), tensor_rep(1)):
+        assert rep.e == LaurentMatrix(2, {(0, 1): ONE})
+        assert rep.f == LaurentMatrix(2, {(1, 0): ONE})
+        assert rep.k1 == LaurentMatrix(2, {(0, 0): V(1), (1, 1): ONE})
+        assert rep.k2 == LaurentMatrix(2, {(0, 0): ONE, (1, 1): V(1)})
 
 
 def test_degree_zero_matrices():
-    rep = build_rep(0)
-    assert rep.e.is_zero and rep.f.is_zero
-    assert rep.k1 == LaurentMatrix.identity(1)
-    assert rep.k2 == LaurentMatrix.identity(1)
+    for rep in (build_rep(0), tensor_rep(0)):
+        assert rep.e.is_zero and rep.f.is_zero
+        assert rep.k1 == LaurentMatrix.identity(1)
+        assert rep.k2 == LaurentMatrix.identity(1)
 
 
 def test_degree_two_k1_diagonal():
-    rep = build_rep(2)
+    rep = tensor_rep(2)
     assert rep.k1 == LaurentMatrix.diagonal([V(2), V(1), V(1), V(0)])
 
 
 def test_k1_spectrum():
     for d in range(5):
-        rep = build_rep(d)
-        assert sorted(set(rep.k1.diagonal_exponents())) == list(range(d + 1))
+        for rep in (build_rep(d), tensor_rep(d)):
+            assert sorted(set(rep.k1.diagonal_exponents())) == list(range(d + 1))
 
 
 @pytest.mark.parametrize(
@@ -70,24 +71,16 @@ def test_diagonal_exponents_rejects_other_matrices(entries):
         LaurentMatrix(2, entries).diagonal_exponents()
 
 
-def test_dimension_limit():
-    with pytest.raises(DimensionLimit):
-        build_rep(11)
-    with pytest.raises(DimensionLimit):
-        build_rep(4, max_d=3)
-    # The limit bounds only the 2^d-dimensional tensor power.
-    assert build_rep(11, max_d=3, convention="weyl").dim == 42
-
-
 @pytest.mark.parametrize("d", range(5))
 def test_defining_relations(d):
-    for convention in ("standard", "weyl"):
-        assert verify_defining_relations(build_rep(d, convention=convention))["pass"]
+    for rep in (build_rep(d), tensor_rep(d)):
+        assert verify_defining_relations(rep)["pass"]
 
 
 def test_mutated_rep_fails_with_witness():
     rep = build_rep(2)
-    bad = OracleRep(2, rep.e.transpose(), rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv)
+    e_transposed = LaurentMatrix(rep.dim, {(c, r): val for (r, c), val in rep.e.entries.items()})
+    bad = OracleRep(2, e_transposed, rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv)
     report = verify_defining_relations(bad)
     assert not report["pass"]
     failed = {c["id"]: c for c in report["checks"] if not c["pass"]}
@@ -96,40 +89,22 @@ def test_mutated_rep_fails_with_witness():
 
 
 def test_conventions():
-    assert oracle.CONVENTIONS == ("standard", "broken", "weyl")
-    for name in ("standard", "weyl"):
-        rep = build_rep(3, convention=name)
-        assert verify_defining_relations(rep)["pass"]
-    with pytest.raises(ValueError, match="unknown convention"):
-        build_rep(3, convention="mirrored")
-    with pytest.raises(CoproductCheckFailed):
-        build_rep(2, convention="broken")
-    broken = build_rep(2, convention="broken", self_check=False)
-    assert not verify_defining_relations(broken)["pass"]
+    # build_rep takes the degree alone and always builds the Weyl modules.
+    assert verify_defining_relations(build_rep(3))["pass"]
+    with pytest.raises(TypeError):
+        build_rep(3, convention="weyl")
 
 
-def test_a_failing_standard_convention_is_not_replaced(monkeypatch):
-    # The standard convention builds the broken matrices here: no other
-    # convention may stand in for build_rep's default.
-    healthy = oracle._build_generator_matrices
-
-    def standard_is_broken(d, convention):
-        return healthy(d, "broken" if convention == "standard" else convention)
-
-    monkeypatch.setattr(oracle, "_build_generator_matrices", standard_is_broken)
-    with pytest.raises(CoproductCheckFailed, match="^standard convention fails "):
-        build_rep(2)
-    assert build_rep(2, convention="weyl").convention == "weyl"
-    # With the tensor conventions healthy again and the Weyl modules wrong,
-    # no tensor convention may stand in for the one the suites use either:
-    # the build, the suites and verify all fail.
-    monkeypatch.undo()
-    monkeypatch.setattr(oracle, "_build_weyl_matrices", _weyl_with_short_e)
+def test_a_wrong_weyl_module_fails_every_suite(monkeypatch):
+    # No other representation may stand in for Weyl modules that fail their
+    # self-check: the build, the suites and verify all fail.
+    wrong = suites._weyl_with_short_e(2)
+    monkeypatch.setattr(oracle, "_build_weyl_matrices", lambda d: wrong)
     report = suites.run_suites(list(suites.SUITES), 2)
     assert not report["pass"]
     assert [c["id"] for c in report["checks"]] == [f"{s}/oracle-build" for s in suites.SUITES]
     assert all(
-        c["witness"].startswith("CoproductCheckFailed: weyl convention fails ")
+        c["witness"].startswith("CoproductCheckFailed: Weyl modules fail ")
         for c in report["checks"]
     )
     assert main(["verify", "--suite", "all", "--d", "2"]) == 1
@@ -137,20 +112,10 @@ def test_a_failing_standard_convention_is_not_replaced(monkeypatch):
 
 # -- the Weyl modules ----------------------------------------------------------
 
-_healthy_weyl = oracle._build_weyl_matrices
-
-
-def _weyl_with_short_e(d):
-    """The Weyl generators with e v_j = [n-j] v_{j-1} instead of [n-j+1] v_{j-1}."""
-    e, *rest = _healthy_weyl(d)
-    # Each entry of e is a quantum integer [m], whose degree is m - 1.
-    short = {key: quantum_int(val.degree()) for key, val in e.entries.items()}
-    return (LaurentMatrix(e.dim, short), *rest)
-
 
 def test_weyl_matrices_at_degree_two():
     # L(2,0) on v_0, v_1, v_2, then L(1,1) on its single v_0.
-    rep = build_rep(2, convention="weyl")
+    rep = build_rep(2)
     two = quantum_int(2)
     assert rep.e == LaurentMatrix(4, {(0, 1): two, (1, 2): ONE})
     assert rep.f == LaurentMatrix(4, {(1, 0): ONE, (2, 1): two})
@@ -160,16 +125,17 @@ def test_weyl_matrices_at_degree_two():
 
 def test_weyl_dimension():
     for d in range(11):
-        assert build_rep(d, convention="weyl").dim == (d + 2) ** 2 // 4
+        assert build_rep(d).dim == (d + 2) ** 2 // 4
     for d in range(4):
-        assert build_rep(d).dim == 1 << d
+        assert tensor_rep(d).dim == 1 << d
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_a_wrong_weyl_module_fails_the_build(d, monkeypatch):
-    monkeypatch.setattr(oracle, "_build_weyl_matrices", _weyl_with_short_e)
-    with pytest.raises(CoproductCheckFailed, match="^weyl convention fails "):
-        build_rep(d, convention="weyl")
+    wrong = suites._weyl_with_short_e(d)
+    monkeypatch.setattr(oracle, "_build_weyl_matrices", lambda d: wrong)
+    with pytest.raises(CoproductCheckFailed, match="^Weyl modules fail "):
+        build_rep(d)
 
 
 def _suite_checks(d, fault):
@@ -179,11 +145,10 @@ def _suite_checks(d, fault):
 
 @pytest.mark.parametrize("fault", [None, "skip-reduction"])
 def test_weyl_and_tensor_oracles_give_the_same_reports(fault, monkeypatch):
-    assert suites._build_rep(3, fault).convention == "weyl"
+    # The suites use the 6-dimensional Weyl sum at d = 3, not the tensor power.
+    assert suites._build_rep(3, fault).dim == 6
     weyl = {d: _suite_checks(d, fault) for d in range(6)}
-    monkeypatch.setattr(
-        suites, "_build_rep", lambda d, fault, allow_large_oracle=False: build_rep(d)
-    )
+    monkeypatch.setattr(suites, "_build_rep", lambda d, fault: tensor_rep(d))
     for d in range(6):
         assert _suite_checks(d, fault) == weyl[d], f"d={d}"
     if fault is not None:
@@ -194,28 +159,47 @@ def test_the_weyl_oracle_backs_every_suite_at_every_degree():
     checks = suites.run_suite("oracle", 2)["checks"]
     assert {"id": "sym-associativity", "pass": True} in checks
     assert {"id": "sym-nilpotency-index", "pass": True} in checks
-    # Past the tensor power's limit of d = 10, and past the fault's cap.
-    report = suites.run_suite("lusztig", 11, allow_large_oracle=True)
+    # At d = 11, where the tensor power would have 2048 dimensions.
+    report = suites.run_suite("lusztig", 11)
     assert report["pass"] and len(report["checks"]) == 398
     checks = suites.run_suite("idempotents", 10)["checks"]
     assert {"id": "orc-projector-partition", "pass": True} in checks
 
 
-def test_the_fault_past_the_tensor_cap_fails_its_build():
-    report = suites.run_suite("basis", 7, fault="broken-coproduct")
-    assert not report["pass"]
-    [check] = report["checks"]
-    assert check["id"] == "oracle-build"
-    assert check["witness"].startswith("DimensionLimit: ")
+ORACLE_SUITES = {"relations", "reduction", "basis", "oracle", "lusztig"}
+
+
+def _failed_suites(report):
+    return {c["id"].split("/")[0] for c in report["checks"] if not c["pass"]}
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_the_broken_module_fails_every_suite_that_meets_e(d):
+    # The short e fails every suite but idempotents, which never uses e; at
+    # d = 0, where e is zero, the fault changes nothing.
+    report = suites.run_suites(list(suites.SUITES), d, fault="broken-module")
+    assert len(report["checks"]) == 452
+    assert _failed_suites(report) == (ORACLE_SUITES if d else set())
+    assert suites.run_suites(list(suites.SUITES), d)["pass"]
+
+
+def test_the_fault_runs_every_suite_past_the_old_tensor_cap():
+    # d = 7 is past the cap of d <= 6 that the fault had while it built the
+    # tensor power.  The wrong Weyl module is built at every degree, so each
+    # suite runs and fails checks instead of reporting a failed build.
+    report = suites.run_suites(list(suites.SUITES), 7, fault="broken-module")
+    assert len(report["checks"]) == 452
+    assert _failed_suites(report) == ORACLE_SUITES
+    assert not any(c["id"].endswith("/oracle-build") for c in report["checks"])
 
 
 def test_run_suites_builds_one_representation(monkeypatch):
     calls = []
     healthy = oracle.build_rep
 
-    def counted(d, **kwargs):
+    def counted(d):
         calls.append(d)
-        return healthy(d, **kwargs)
+        return healthy(d)
 
     monkeypatch.setattr(oracle, "build_rep", counted)
     assert suites.run_suites(list(suites.SUITES), 3)["pass"]
@@ -232,8 +216,8 @@ def test_divided_powers():
     assert matrix_of_divided_power(rep1, "e", 2).is_zero
     rep2 = build_rep(2)
     assert matrix_of_divided_power(rep2, "e", 1) == rep2.e
-    # e^(2) at d = 2 maps |11> to |00> with coefficient 1
-    assert matrix_of_divided_power(rep2, "e", 2) == LaurentMatrix(4, {(0, 3): ONE})
+    # e^(2) at d = 2 maps v_2 of L(2,0) to v_0 with coefficient [2]/[2]! = 1
+    assert matrix_of_divided_power(rep2, "e", 2) == LaurentMatrix(4, {(0, 2): ONE})
 
 
 def test_projectors():
@@ -244,8 +228,9 @@ def test_projectors():
         assert proj * proj == proj
         total = total + proj
     assert total == LaurentMatrix.identity(4)
+    # The weight-(1,1) vectors: v_1 of L(2,0) and v_0 of L(1,1).
     assert idempotent_projector(rep, 1, 1) == LaurentMatrix(
-        4, {(1, 1): ONE, (2, 2): ONE}
+        4, {(1, 1): ONE, (3, 3): ONE}
     )
 
 
@@ -324,11 +309,9 @@ def test_lusztig_identities_small(d):
 def test_diagonal_kbinom_matches_scalar():
     rep = build_rep(2)
     kb = diagonal_kbinom(rep.k1, 0, 1)
-    # eigenvalues v^2, v, v, 1 give [2], [1], [1], [0]
-    from qschur.laurent import quantum_int
-
+    # eigenvalues v^2, v, 1, v give [2], [1], [0], [1]
     assert kb == LaurentMatrix.diagonal(
-        [quantum_int(2), quantum_int(1), quantum_int(1), quantum_int(0)]
+        [quantum_int(2), quantum_int(1), quantum_int(0), quantum_int(1)]
     )
 
 
@@ -409,8 +392,8 @@ def test_product_cancelling_to_zero_stores_nothing(pair):
 
 
 @lru_cache(maxsize=None)
-def rep_of(d: int) -> OracleRep:
-    return build_rep(d)
+def reps_of(d: int) -> tuple[OracleRep, OracleRep]:
+    return build_rep(d), tensor_rep(d)
 
 
 @st.composite
@@ -444,20 +427,19 @@ CANCELLING = Element(Context(3), EKF, {Monomial(1, 1, 2, 1, EKF): ONE - V(2)})
 @example((CANCELLING, [True], CANCELLING, V(1)))
 def test_matrix_of_element_is_a_faithful_algebra_map(case):
     x, split, y, c = case
-    rep = rep_of(x.ctx.d)
-    got = matrix_of_element(rep, x)
-    assert stores_no_zero(got)
-    assert got.is_zero == x.is_zero  # the tensor representation is faithful
-
     items = x.sorted_terms()
     x1, x2 = (
         Element(x.ctx, x.orientation, [t for t, first in zip(items, split) if first == part])
         for part in (True, False)
     )
     assert x1 + x2 == x
-    assert got == matrix_of_element(rep, x1) + matrix_of_element(rep, x2)
-    assert matrix_of_element(rep, x.scale(c)) == got.scale(c)
-    assert matrix_of_element(rep, multiply(x, y)) == got * matrix_of_element(rep, y)
+    for rep in reps_of(x.ctx.d):
+        got = matrix_of_element(rep, x)
+        assert stores_no_zero(got)
+        assert got.is_zero == x.is_zero  # both representations are faithful
+        assert got == matrix_of_element(rep, x1) + matrix_of_element(rep, x2)
+        assert matrix_of_element(rep, x.scale(c)) == got.scale(c)
+        assert matrix_of_element(rep, multiply(x, y)) == got * matrix_of_element(rep, y)
 
 
 def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
