@@ -118,6 +118,9 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its integer, so it must hash as that integer.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(tuple(sorted(self._terms.items())))
 
     # -- ring operations ---------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cache
 
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
@@ -118,6 +119,8 @@ class LaurentMatrix:
         return LaurentMatrix._raw(self.dim, acc)
 
     def power(self, n: int) -> LaurentMatrix:
+        if n < 0:
+            raise ValueError("a matrix power needs a nonnegative exponent")
         result = LaurentMatrix.identity(self.dim)
         for _ in range(n):
             result = result * self
@@ -150,9 +153,11 @@ class OracleRep:
     read off the matrices.
 
     Immutable after construction apart from one cache, ``_dp_cache``: it
-    holds the divided powers keyed by (gen, m) and the idempotent
-    projectors keyed by ("K", b1, b2).  Each entry is a pure function of
-    its key, so a concurrent duplicate fill is benign.
+    holds the divided powers keyed by (gen, m), the idempotent projectors
+    keyed by ("K", b1, b2), and the basis words outer^(a) K[b1,b2]
+    inner^(c) that :func:`matrix_of_element` has evaluated, keyed by
+    ("word", monomial).  Each entry is a pure function of its key, so a
+    concurrent duplicate fill is benign.
 
     Matrices handed out by this module, cached ones included, are shared:
     treat them and their ``entries`` as read-only.
@@ -277,11 +282,16 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
     outer, inner = GENERATOR_ORDER[x.orientation]
     total = LaurentMatrix(rep.dim)
     for m, coeff in x.terms.items():
-        word = (
-            matrix_of_divided_power(rep, outer, m.a)
-            * idempotent_projector(rep, m.b1, m.b2)
-            * matrix_of_divided_power(rep, inner, m.c)
-        )
+        # The monomial carries its orientation, so it alone keys its word.
+        key = ("word", m)
+        word = rep._dp_cache.get(key)
+        if word is None:
+            word = (
+                matrix_of_divided_power(rep, outer, m.a)
+                * idempotent_projector(rep, m.b1, m.b2)
+                * matrix_of_divided_power(rep, inner, m.c)
+            )
+            rep._dp_cache[key] = word
         total = total + word.scale(coeff)
     return total
 
@@ -425,18 +435,32 @@ def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
     The identity families cover conjugation by K powers, K-binomials sliding
     past e and f, commutators with divided powers, and the recursion, merge
     and expansion rules for K-binomials.
+
+    Each power K^n, |n| <= bound, is built once, by one product from
+    K^(n-1) or K^(n+1), and each K-binomial diagonal once per key (K, c, t)
+    with K one of "K1", "K2" and "K" = K1 K2^-1.  Both memos live for one
+    call only.
     """
     checks: list[dict] = []
     v = LaurentPoly.v
     dim = rep.dim
     zero = LaurentMatrix(dim)
     e, f = rep.e, rep.f
-    ks = {"K1": (rep.k1, rep.k1_inv), "K2": (rep.k2, rep.k2_inv)}
-    kk_inv = rep.k1 * rep.k2_inv  # the sl2-type K, diagonal
+    kk = rep.k1 * rep.k2_inv  # the sl2-type K, diagonal
+    bases = {"K1": rep.k1, "K2": rep.k2, "K": kk}
 
-    def kpow(name: str, n: int) -> LaurentMatrix:
-        base, inv = ks[name]
-        return base.power(n) if n >= 0 else inv.power(-n)
+    # pows[name][n] is K^n for -bound <= n <= bound.
+    pows: dict[str, dict[int, LaurentMatrix]] = {}
+    for name, base, inv in (("K1", rep.k1, rep.k1_inv), ("K2", rep.k2, rep.k2_inv)):
+        p = {0: LaurentMatrix.identity(dim)}
+        for n in range(1, bound + 1):
+            p[n] = p[n - 1] * base
+            p[-n] = p[1 - n] * inv
+        pows[name] = p
+
+    @cache
+    def kbinom(name: str, c: int, t: int) -> LaurentMatrix:
+        return diagonal_kbinom(bases[name], c, t)
 
     for name in ("K1", "K2"):
         sign = 1 if name == "K1" else -1
@@ -444,33 +468,32 @@ def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
             _check(
                 checks,
                 f"conj-e-by-{name.lower()}^{n}",
-                kpow(name, n) * e * kpow(name, -n),
+                pows[name][n] * e * pows[name][-n],
                 e.scale(v(sign * n)),
             )
             _check(
                 checks,
                 f"conj-f-by-{name.lower()}^{n}",
-                kpow(name, n) * f * kpow(name, -n),
+                pows[name][n] * f * pows[name][-n],
                 f.scale(v(-sign * n)),
             )
 
     for name in ("K1", "K2"):
-        base = ks[name][0]
         shift = 1 if name == "K1" else -1
         for c in range(-bound, bound + 1):
             for t in range(bound + 1):
-                kb = diagonal_kbinom(base, c, t)
+                kb = kbinom(name, c, t)
                 _check(
                     checks,
                     f"kbinom-shift-{name.lower()}-past-e(c={c},t={t})",
                     kb * e,
-                    e * diagonal_kbinom(base, c + shift, t),
+                    e * kbinom(name, c + shift, t),
                 )
                 _check(
                     checks,
                     f"kbinom-shift-{name.lower()}-past-f(c={c},t={t})",
                     kb * f,
-                    f * diagonal_kbinom(base, c - shift, t),
+                    f * kbinom(name, c - shift, t),
                 )
 
     for m in range(bound + 1):
@@ -480,7 +503,7 @@ def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
             checks,
             f"e-past-divided-f(m={m})",
             fm * e,
-            e * fm - diagonal_kbinom(kk_inv, m - 1, 1) * fm1,
+            e * fm - kbinom("K", m - 1, 1) * fm1,
         )
         em = matrix_of_divided_power(rep, "e", m)
         em1 = matrix_of_divided_power(rep, "e", m - 1) if m >= 1 else zero
@@ -488,40 +511,40 @@ def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
             checks,
             f"f-past-divided-e(m={m})",
             f * em,
-            em * f - em1 * diagonal_kbinom(kk_inv, m - 1, 1),
+            em * f - em1 * kbinom("K", m - 1, 1),
         )
 
     for name in ("K1", "K2"):
-        base, inv = ks[name]
+        inv = pows[name][-1]
         for c in range(-bound, bound + 1):
             for t in range(bound):
                 _check(
                     checks,
                     f"kbinom-recursion-{name.lower()}(c={c},t={t})",
-                    diagonal_kbinom(base, c + 1, t + 1),
-                    diagonal_kbinom(base, c, t + 1).scale(v(t + 1))
-                    + (inv * diagonal_kbinom(base, c, t)).scale(v(t - c)),
+                    kbinom(name, c + 1, t + 1),
+                    kbinom(name, c, t + 1).scale(v(t + 1))
+                    + (inv * kbinom(name, c, t)).scale(v(t - c)),
                 )
         for t in range(bound + 1):
             for tp in range(bound + 1):
                 _check(
                     checks,
                     f"kbinom-merge-{name.lower()}(t={t},t'={tp})",
-                    diagonal_kbinom(base, 0, t) * diagonal_kbinom(base, -t, tp),
-                    diagonal_kbinom(base, 0, t + tp).scale(gauss_binomial(t + tp, t)),
+                    kbinom(name, 0, t) * kbinom(name, -t, tp),
+                    kbinom(name, 0, t + tp).scale(gauss_binomial(t + tp, t)),
                 )
         for c in range(bound + 1):
             for t in range(bound + 1):
                 rhs = LaurentMatrix(dim)
                 for j in range(t + 1):
-                    term = (inv.power(j) * diagonal_kbinom(base, 0, t - j)).scale(
+                    term = (pows[name][-j] * kbinom(name, 0, t - j)).scale(
                         gauss_binomial(c, j) * v(c * (t - j))
                     )
                     rhs = rhs + term
                 _check(
                     checks,
                     f"kbinom-expansion-{name.lower()}(c={c},t={t})",
-                    diagonal_kbinom(base, c, t),
+                    kbinom(name, c, t),
                     rhs,
                 )
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qschur import suites
@@ -84,6 +84,15 @@ def test_zero_coefficients_never_stored():
     assert x.is_zero and x._terms == {}
     assert LaurentPoly({0: 0, 2: 0}).is_zero
     assert LaurentPoly(MappingProxyType({0: 0, 2: 3}))._terms == {2: 3}
+
+
+@given(st.integers())
+@example(0)
+def test_a_constant_hashes_as_its_integer(n):
+    # A constant equals its integer, so each must find the other in a dict.
+    c = LaurentPoly.from_int(n)
+    assert c == n and hash(c) == hash(n)
+    assert {c: 1}.get(n) == 1 and {n: 1}.get(c) == 1
 
 
 @given(polys, polys, polys)

@@ -352,6 +352,89 @@ def test_idempotent_projector_is_cached_per_representation():
     assert idempotent_projector(other, 1, 1) == first
 
 
+def test_a_negative_matrix_power_raises():
+    k1 = build_rep(2).k1
+    assert k1.power(0) == LaurentMatrix.identity(4)
+    assert k1.power(2) == k1 * k1
+    with pytest.raises(ValueError):
+        k1.power(-1)
+
+
+# -- the word memo and the lusztig suite's memos ----------------------------
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_every_cached_word_is_its_plain_product(d):
+    rep = suites._build_rep(d, None)  # held here, so every suite reuses it
+    assert suites.run_suites(list(suites.SUITES), d)["pass"]
+    words = {k[1]: w for k, w in rep._dp_cache.items() if k[0] == "word"}
+    assert len(words) == 2 * len(Context(d).monomials(EKF))
+    for m, word in words.items():
+        outer, inner = ("e", "f") if m.orientation == EKF else ("f", "e")
+        assert word == (
+            matrix_of_divided_power(rep, outer, m.a)
+            * idempotent_projector(rep, m.b1, m.b2)
+            * matrix_of_divided_power(rep, inner, m.c)
+        ), m
+
+
+def test_a_wrong_cached_word_is_caught_by_the_oracle():
+    ctx, rep = Context(2), build_rep(2)
+    assert all(c["pass"] for c in suites.suite_oracle(2, ctx, rep))
+    keys = [k for k in rep._dp_cache if k[0] == "word" and k[1].orientation == EKF]
+    assert len(keys) == len(ctx.monomials(EKF))
+    for key in keys:
+        word = rep._dp_cache[key]
+        cell, val = next(iter(word.entries.items()))
+        (exp, coeff), *rest = val.items()
+        wrong = LaurentMatrix(rep.dim, {**word.entries, cell: LaurentPoly([(exp, -coeff), *rest])})
+        rep._dp_cache[key] = wrong
+        checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
+        assert checks["orc-homomorphism"] is False, key
+        rep._dp_cache[key] = word
+
+
+def test_lusztig_builds_each_kbinom_once(monkeypatch):
+    calls = []
+    healthy = oracle.diagonal_kbinom
+
+    def counted(matrix, c, t):
+        calls.append((tuple(matrix.diagonal_exponents()), c, t))
+        return healthy(matrix, c, t)
+
+    rep = build_rep(6)
+    monkeypatch.setattr(oracle, "diagonal_kbinom", counted)
+    assert verify_lusztig_identities(rep)["pass"]
+    assert len(set(calls)) == len(calls) == 123
+
+
+def test_a_wrong_kbinom_fails_every_check_that_uses_it(monkeypatch):
+    # [K1; -3, 2] plus the identity.  It is built once, and each of the eight
+    # checks below reads it once, on one side only, where the identity it
+    # adds survives: so each must fail, not only the first to read it.
+    rep = build_rep(6)
+    healthy = oracle.diagonal_kbinom
+
+    def wrong(matrix, c, t):
+        out = healthy(matrix, c, t)
+        if matrix is rep.k1 and (c, t) == (-3, 2):
+            out = out + LaurentMatrix.identity(rep.dim)
+        return out
+
+    monkeypatch.setattr(oracle, "diagonal_kbinom", wrong)
+    failed = {c["id"] for c in verify_lusztig_identities(rep)["checks"] if not c["pass"]}
+    assert failed == {
+        "kbinom-shift-k1-past-e(c=-3,t=2)",
+        "kbinom-shift-k1-past-e(c=-4,t=2)",
+        "kbinom-shift-k1-past-f(c=-3,t=2)",
+        "kbinom-shift-k1-past-f(c=-2,t=2)",
+        "kbinom-recursion-k1(c=-4,t=1)",
+        "kbinom-recursion-k1(c=-3,t=1)",
+        "kbinom-recursion-k1(c=-3,t=2)",
+        "kbinom-merge-k1(t=3,t'=2)",
+    }
+
+
 # -- matrix_of_element as an algebra map ------------------------------------
 
 
