@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from .algebra import EKF, FKE, Context, Element, multiply, reduce_monomial, reduction_defect
 from .laurent import LaurentPoly
 from .suites import FAULTS, SUITE_GUARDS, SUITES, run_suites
-from .textio import element_to_json, format_element, parse_element
+from .textio import element_json_text, element_to_json, format_element, parse_element
 
 TABLE_MAX_D = 6
 
@@ -51,7 +51,10 @@ def _read_operand(value: str) -> str | dict:
             value = fh.read()
     stripped = value.strip()
     if stripped.startswith("{"):
-        return json.loads(stripped)
+        try:
+            return json.loads(stripped)
+        except RecursionError:
+            raise ValueError("JSON operand is nested too deeply") from None
     return stripped
 
 
@@ -119,7 +122,7 @@ def cmd_multiply(args) -> int:
     rhs = parse_element(_read_operand(args.rhs), ctx, args.orientation)
     product = multiply(lhs, rhs)
     if args.format == "json":
-        _emit(json.dumps(element_to_json(product)), args.out)
+        _emit(element_json_text(product), args.out)
     else:
         _emit(format_element(product), args.out)
     return 0
@@ -182,19 +185,25 @@ def cmd_table(args) -> int:
         )
     ctx = Context(args.d)
     one = LaurentPoly.one()
-    operands = [
-        (m, json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c}), Element(ctx, EKF, {m: one}))
-        for m in ctx.monomials(EKF)
-    ]
+    # Per operand: its idempotents, the line's head when it is the lhs, the
+    # line's middle when it is the rhs, and the element itself.
+    operands = []
+    for m in ctx.monomials(EKF):
+        key = json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c})
+        middle = f'"rhs": {key}, "product": '
+        operands.append((m.left, m.right, f'{{"lhs": {key}, ', middle, Element(ctx, EKF, {m: one})))
     zero = json.dumps(element_to_json(Element(ctx, EKF)))
-    # Each line is what json.dumps gives for {"lhs": ..., "rhs": ..., "product": ...}.
-    # A pair whose idempotents do not meet multiplies to zero (see multiply).
+    # Each line is what json.dumps gives for {"lhs": ..., "rhs": ..., "product": ...};
+    # each lhs row is written at once.  A pair whose idempotents do not meet
+    # multiplies to zero (see multiply).
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for m, lhs, x in operands:
-            for n, rhs, y in operands:
-                product = multiply(x, y) if m.right == n.left else None
-                text = json.dumps(element_to_json(product)) if product else zero
-                fh.write(f'{{"lhs": {lhs}, "rhs": {rhs}, "product": {text}}}\n')
+        for _, right, head, _, x in operands:
+            row = []
+            for left, _, _, middle, y in operands:
+                product = multiply(x, y) if right == left else None
+                text = element_json_text(product) if product else zero
+                row.append(f"{head}{middle}{text}}}\n")
+            fh.write("".join(row))
     return 0
 
 

@@ -118,14 +118,6 @@ class LaurentMatrix:
                     acc[key] = n
         return LaurentMatrix._raw(self.dim, acc)
 
-    def power(self, n: int) -> LaurentMatrix:
-        if n < 0:
-            raise ValueError("a matrix power needs a nonnegative exponent")
-        result = LaurentMatrix.identity(self.dim)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def exact_div_scalar(self, scalar: LaurentPoly) -> LaurentMatrix:
         return LaurentMatrix(
             self.dim, {k: v.exact_div(scalar) for k, v in self.entries.items()}

@@ -159,6 +159,17 @@ def element_to_json(x: Element) -> dict:
     }
 
 
+def element_json_text(x: Element) -> str:
+    """Exactly ``json.dumps(element_to_json(x))``, written in one pass without the dicts."""
+    terms = ", ".join(
+        f'{{"a": {m.a}, "b1": {m.b1}, "b2": {m.b2}, "c": {m.c}, "coeff": ['
+        + ", ".join(f'[{e}, "{c}"]' for e, c in coeff.items())
+        + "]}"
+        for m, coeff in x.sorted_terms()
+    )
+    return f'{{"d": {x.ctx.d}, "orientation": "{x.orientation}", "terms": [{terms}]}}'
+
+
 def _json_int(obj, key: str, where: str) -> int:
     value = obj.get(key) if isinstance(obj, dict) else None
     if not _is_int(value):

@@ -6,6 +6,8 @@ import random
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur.algebra import (
     EKF,
@@ -39,6 +41,18 @@ from qschur.suites import run_suite
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
+
+small_polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def elements(draw, orientations=(EKF, FKE)):
+    """An element of degree d <= 5 with up to four drawn terms."""
+    ctx = Context(draw(st.integers(0, 5)))
+    orientation = draw(st.sampled_from(orientations))
+    basis = ctx.monomials(orientation)
+    terms = draw(st.lists(st.tuples(st.sampled_from(basis), small_polys), max_size=4))
+    return Element(ctx, orientation, terms)
 
 
 def unit(ctx, a, b1, c, orientation=EKF):
@@ -463,6 +477,14 @@ def test_change_basis_round_trip():
             assert all(a + b + c <= d for a, b, c in coords)
 
 
+@settings(max_examples=100, deadline=None)
+@given(elements(orientations=(EKF,)))
+def test_change_basis_round_trip_on_drawn_elements(x):
+    coords = change_to_kbinom_basis(x)
+    assert change_from_kbinom_basis(x.ctx, coords) == x
+    assert all(not c.is_zero for c in coords.values())
+
+
 def test_change_basis_unitriangular():
     for d in range(5):
         ctx = Context(d)
@@ -520,6 +542,15 @@ def test_convert_orientation_round_trip():
         for _ in range(8):
             x = random_element(ctx, rng)
             assert convert_orientation(convert_orientation(x, FKE), EKF) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements())
+def test_convert_orientation_round_trip_on_drawn_elements(x):
+    other = FKE if x.orientation == EKF else EKF
+    y = convert_orientation(x, other)
+    assert y.orientation == other
+    assert convert_orientation(y, x.orientation) == x
 
 
 def test_structure_constants_symmetry():

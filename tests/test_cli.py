@@ -91,6 +91,35 @@ def test_malformed_json_operand_is_a_usage_error(capsys, operand):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_deeply_nested_json_operand_is_a_usage_error(tmp_path, capsys):
+    operand = tmp_path / "nested.json"
+    operand.write_text('{"d":2,"terms":' + "[" * 100_000)
+    code, out, err = run(capsys, "multiply", "--d", "2", "--lhs", str(operand), "--rhs", "K[0,2]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "orientation, lhs, rhs, want",
+    [
+        (
+            "ekf",
+            "(v^-1) * K[2,0] + (3) * e^(1) K[1,1]",
+            "K[2,0] + K[1,1] f^(1) + (2 - v^2) * K[1,1]",
+            '{"d": 2, "orientation": "EKF", "terms": ['
+            '{"a": 0, "b1": 2, "b2": 0, "c": 0, "coeff": [[-1, "4"], [1, "3"]]}, '
+            '{"a": 1, "b1": 1, "b2": 1, "c": 0, "coeff": [[0, "6"], [2, "-3"]]}]}',
+        ),
+        ("fke", "K[2,0]", "K[0,2]", '{"d": 2, "orientation": "FKE", "terms": []}'),
+    ],
+    ids=["ekf", "fke-zero"],
+)
+def test_multiply_json_bytes_are_pinned(capsys, orientation, lhs, rhs, want):
+    argv = ("multiply", "--d", "2", "--orientation", orientation, "--format", "json")
+    code, out, _ = run(capsys, *argv, "--lhs", lhs, "--rhs", rhs)
+    assert (code, out) == (0, want + "\n")
+
+
 def test_json_operand_accepts_integer_and_decimal_string_coefficients(capsys):
     operand = '{"d": 1, "terms": [{"a": 0, "b1": 1, "b2": 0, "c": 0, "coeff": [[0, "-3"], [1, 2]]}]}'
     code, out, _ = run(capsys, "multiply", "--d", "1", "--lhs", operand, "--rhs", "K[1,0]")

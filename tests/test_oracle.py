@@ -352,14 +352,6 @@ def test_idempotent_projector_is_cached_per_representation():
     assert idempotent_projector(other, 1, 1) == first
 
 
-def test_a_negative_matrix_power_raises():
-    k1 = build_rep(2).k1
-    assert k1.power(0) == LaurentMatrix.identity(4)
-    assert k1.power(2) == k1 * k1
-    with pytest.raises(ValueError):
-        k1.power(-1)
-
-
 # -- the word memo and the lusztig suite's memos ----------------------------
 
 

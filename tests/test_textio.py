@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qschur.algebra import (
     EKF,
@@ -19,6 +21,7 @@ from qschur.laurent import LaurentPoly
 from qschur.textio import (
     ParseError,
     element_from_json,
+    element_json_text,
     element_to_json,
     format_element,
     parse_element,
@@ -113,6 +116,41 @@ def test_json_round_trip():
                 assert element_from_json(data, ctx) == x
                 # the JSON form itself is byte-deterministic
                 assert json.dumps(data) == json.dumps(element_to_json(x))
+
+
+# Coefficients past 2**64 in both signs, on negative and positive exponents.
+wide_polys = st.dictionaries(
+    st.integers(-8, 8), st.integers(-(2**70), 2**70), max_size=4
+).map(LaurentPoly)
+
+
+@st.composite
+def json_elements(draw):
+    ctx = Context(draw(st.integers(0, 6)))
+    orientation = draw(st.sampled_from((EKF, FKE)))
+    basis = ctx.monomials(orientation)
+    # Terms arrive in drawn order, so the writer must sort them itself.
+    terms = draw(st.lists(st.tuples(st.sampled_from(basis), wide_polys), max_size=5))
+    return Element(ctx, orientation, terms)
+
+
+WIDE = Element(
+    Context(3),
+    FKE,
+    {
+        Monomial(1, 1, 2, 0, FKE): V(-1),
+        Monomial(0, 3, 0, 2, FKE): LaurentPoly({2: -(2**64) - 1, -3: 2**65}),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_elements())
+@example(Element(Context(0), EKF))
+@example(Element(Context(4), FKE))
+@example(WIDE)
+def test_element_json_text_is_json_dumps_of_element_to_json(x):
+    assert element_json_text(x) == json.dumps(element_to_json(x))
 
 
 def test_json_shape():
