@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .laurent import LaurentPoly, gauss_binomial
 
@@ -83,17 +84,14 @@ class Context:
     held as a tuple of ``(Monomial, LaurentPoly)`` pairs.  Both die with the
     context.  A context is safe to share across threads: each memo entry is
     a pure function of the context and its key, so a duplicate fill from two
-    threads is harmless.  The ``unstraightened`` flag disables the reduction machinery;
-    it exists only so verification suites can prove they would catch a
-    faulty build.
+    threads is harmless.
     """
 
-    def __init__(self, d: int, *, unstraightened: bool = False):
+    def __init__(self, d: int):
         if d < 0:
             raise IndexOutOfRange(f"degree must be nonnegative, got {d}")
         self.d = d
         self.idempotents = [(b1, d - b1) for b1 in range(d + 1)]
-        self.unstraightened = unstraightened
         self._basis: dict[str, tuple[Monomial, ...]] = {}
         self._straightened: dict[
             tuple[int, int, int], tuple[tuple[Monomial, LaurentPoly], ...]
@@ -102,10 +100,10 @@ class Context:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Context):
             return NotImplemented
-        return self.d == other.d and self.unstraightened == other.unstraightened
+        return type(self) is type(other) and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.d, self.unstraightened))
+        return hash(self.d)
 
     def __repr__(self) -> str:
         return f"Context(d={self.d})"
@@ -118,8 +116,6 @@ class Context:
         return (b1, b2)
 
     def is_canonical(self, m: Monomial) -> bool:
-        if self.unstraightened:
-            return m.a <= self.d and m.c <= self.d
         return m.fake_degree <= self.d
 
     def monomials(self, orientation: str = EKF) -> list[Monomial]:
@@ -134,11 +130,32 @@ class Context:
             out = []
             for a in range(d + 1):
                 for b1 in range(d + 1):
-                    middle = b1 if orientation == EKF else d - b1
-                    top = d if self.unstraightened else d - a - middle
-                    out.extend(Monomial(a, b1, d - b1, c, orientation) for c in range(top + 1))
+                    # Canonicity only fails more as c grows.
+                    run = (Monomial(a, b1, d - b1, c, orientation) for c in range(d + 1))
+                    out.extend(takewhile(self.is_canonical, run))
             basis = self._basis[orientation] = tuple(out)
         return list(basis)
+
+    def _straighten(self, m: Monomial) -> Element:
+        """A non-canonical monomial of defect s, straightened in the canonical basis.
+
+        It is the sum over k = s..min(a,c) of (-1)^(k-s) [k-1; s-1] [b1+k; k]
+        e^(a-k) K[b1+k,b2-k] f^(c-k); FKE goes through the e<->f, K1<->K2 symmetry.
+        """
+        if m.orientation == FKE:
+            return _relabel(self._straighten(m.swapped()), FKE)
+        s = m.fake_degree - self.d
+        terms: dict[Monomial, LaurentPoly] = {}
+        for k in range(s, min(m.a, m.c) + 1):
+            coeff = gauss_binomial(k - 1, s - 1) * gauss_binomial(m.b1 + k, k)
+            if (k - s) % 2:
+                coeff = -coeff
+            n = Monomial(m.a - k, m.b1 + k, m.b2 - k, m.c - k, EKF)
+            if n.b2 < 0 or not self.is_canonical(n):
+                raise RuntimeError(f"straightening emitted the non-canonical monomial {n}")
+            if not coeff.is_zero:
+                terms[n] = coeff
+        return Element._raw(self, EKF, terms)
 
 
 def _check_orientation(orientation: str) -> None:
@@ -177,7 +194,7 @@ class Element:
                 raise IndexOutOfRange(f"monomial {m} does not fit degree {ctx.d}")
             if not ctx.is_canonical(m):
                 raise IndexOutOfRange(f"monomial {m} is not canonical at degree {ctx.d}")
-            _add_term(acc, m, coeff)
+            _add_term(acc, m, LaurentPoly.coerce(coeff))
         self.ctx = ctx
         self.orientation = orientation
         self.terms = acc
@@ -391,55 +408,22 @@ def commute_power_past_idempotent(
 
 def reduction_defect(ctx: Context, quad: tuple[int, int, int, int], orientation: str = EKF) -> int:
     """The amount s by which a monomial's fake degree exceeds d."""
-    a, b1, b2, c = quad
-    middle = b1 if orientation == EKF else b2
-    return a + middle + c - ctx.d
+    return Monomial(*quad, orientation).fake_degree - ctx.d
 
 
 def reduce_monomial(
     ctx: Context, quad: tuple[int, int, int, int], orientation: str = EKF
 ) -> Element:
-    """Express a possibly non-canonical monomial in the canonical basis.
-
-    A monomial of defect s >= 1 equals the alternating sum over
-    k = s..min(a,c) of [k-1; s-1] [b1+k; k] e^(a-k) K[b1+k,b2-k] f^(c-k)
-    (mirror image in the FKE basis).  Defect <= 0 returns the monomial
-    itself; an empty summation range yields zero.
-    """
+    """A monomial in the canonical basis: itself if canonical, else :meth:`Context._straighten`."""
     a, b1, b2, c = quad
     _check_orientation(orientation)
     if a < 0 or c < 0:
         raise IndexOutOfRange(f"divided-power exponents must be nonnegative: ({a},{c})")
     ctx.check_pair(b1, b2)
-
     mono = Monomial(a, b1, b2, c, orientation)
-    if ctx.unstraightened:
-        return Element(ctx, orientation, {mono: LaurentPoly.one()})
-
-    s = reduction_defect(ctx, quad, orientation)
-    if s <= 0:
+    if ctx.is_canonical(mono):
         return Element._raw(ctx, orientation, {mono: LaurentPoly.one()})
-
-    if orientation == FKE:
-        # Apply the e<->f, K1<->K2 symmetry, straighten in EKF, map back.
-        reduced = reduce_monomial(ctx, (a, b2, b1, c), EKF)
-        return Element(
-            ctx, FKE, {m.swapped(): coeff for m, coeff in reduced.terms.items()}
-        )
-
-    terms: dict[Monomial, LaurentPoly] = {}
-    for k in range(s, min(a, c) + 1):
-        if k > b2:
-            raise RuntimeError("summation index escaped the idempotent range")
-        coeff = gauss_binomial(k - 1, s - 1) * gauss_binomial(b1 + k, k)
-        if (k - s) % 2:
-            coeff = -coeff
-        m = Monomial(a - k, b1 + k, b2 - k, c - k, EKF)
-        if m.fake_degree > ctx.d or min(m.a, m.b1, m.b2, m.c) < 0:
-            raise RuntimeError(f"straightening emitted the non-canonical monomial {m}")
-        if not coeff.is_zero:
-            terms[m] = coeff
-    return Element(ctx, EKF, terms)
+    return ctx._straighten(mono)
 
 
 def monomial_element(

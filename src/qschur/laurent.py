@@ -320,6 +320,8 @@ def parse_laurent(text: str) -> LaurentPoly:
     LaurentPoly('v^2 - 3 + 2v^-1')
     """
     s = text.strip()
+    if not s:
+        raise ValueError(f"empty Laurent polynomial: {text!r}")
     if s == "0":
         return LaurentPoly.zero()
     term_re = re.compile(

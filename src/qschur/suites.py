@@ -75,6 +75,17 @@ def _weyl_with_short_e(d: int):
     return (oracle.LaurentMatrix(e.dim, short), *rest)
 
 
+class _UnstraightenedContext(Context):
+    """The skip-reduction fault: every monomial with a, c <= d counts as
+    canonical, and straightening any other raises IndexOutOfRange."""
+
+    def is_canonical(self, m: algebra.Monomial) -> bool:
+        return m.a <= self.d and m.c <= self.d
+
+    def _straighten(self, m: algebra.Monomial) -> algebra.Element:
+        return algebra.Element(self, m.orientation, {m: LaurentPoly.one()})
+
+
 def _build_rep(d: int, fault: str | None):
     key = (d, fault)
     cached = _REPS.get(key)
@@ -569,13 +580,14 @@ def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> 
     The suite checks against the Weyl modules, which are built at every d.
     The ``broken-module`` fault gives e a wrong coefficient there and skips
     the build's self-check; at d = 0, where e is zero, it changes nothing.
-    A build that fails is reported as one failed ``oracle-build`` check.
+    The ``skip-reduction`` fault straightens nothing.  A build that fails
+    is reported as one failed ``oracle-build`` check.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
-    ctx = Context(d, unstraightened=(fault == "skip-reduction"))
+    ctx = _UnstraightenedContext(d) if fault == "skip-reduction" else Context(d)
     try:
         rep = _build_rep(d, fault)
     except Exception as exc:  # a wrong oracle is a failed check, not a crash

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import random
+import re
 from types import MappingProxyType
 
 import pytest
@@ -37,7 +38,7 @@ from qschur.algebra import (
 )
 from qschur import algebra, oracle, suites
 from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial
-from qschur.suites import run_suite
+from qschur.suites import _UnstraightenedContext, run_suite
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -91,13 +92,22 @@ def test_direct_enumeration_equals_the_filtered_scan():
     # filtered (d+1)^3 scan it replaces, in the same order.
     for d in range(9):
         cube = [(a, b, c) for a in range(d + 1) for b in range(d + 1) for c in range(d + 1)]
-        for unstraightened in (False, True):
-            ctx = Context(d, unstraightened=unstraightened)
+        for ctx in (Context(d), _UnstraightenedContext(d)):
             for orientation in (EKF, FKE):
                 scan = [Monomial(a, b1, d - b1, c, orientation) for a, b1, c in cube]
                 assert ctx.monomials(orientation) == [m for m in scan if ctx.is_canonical(m)]
         scan = sorted((t for t in cube if sum(t) <= d), key=lambda t: (-(t[0] + t[2]), t[0], t[1]))
         assert kbinom_index_set(Context(d)) == scan
+
+
+def test_element_coefficients_are_coerced():
+    ctx = Context(2)
+    m = Monomial(0, 1, 1, 0, EKF)
+    assert Element(ctx, EKF, {m: 3}) == Element(ctx, EKF, {m: LaurentPoly.from_int(3)})
+    assert Element(ctx, EKF, {m: 0}).is_zero
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError):
+            Element(ctx, EKF, {m: bad})
 
 
 def test_element_keys_are_validated():
@@ -313,7 +323,7 @@ def test_straightening_memo_holds_reduce_monomial(unstraightened):
     # raise again below.
     for fill in (fill_straightening_memo, fill_memo_through_kbinom):
         for d in range(6):
-            ctx = Context(d, unstraightened=unstraightened)
+            ctx = _UnstraightenedContext(d) if unstraightened else Context(d)
             memo = fill(ctx)
             assert memo
             for (a, b1, c), entry in memo.items():
@@ -324,7 +334,7 @@ def test_straightening_memo_holds_reduce_monomial(unstraightened):
 def test_straightening_memo_is_per_context():
     for d in range(1, 4):
         ctx = Context(d)
-        fault = Context(d, unstraightened=True)
+        fault = _UnstraightenedContext(d)
         memo = fill_straightening_memo(ctx)
         assert fault._straightened == {}
         fill_straightening_memo(fault)
@@ -608,7 +618,35 @@ def test_degree_zero_degenerates_gracefully():
 
 
 def test_unstraightened_context_skips_reduction():
-    ctx = Context(2, unstraightened=True)
+    ctx = _UnstraightenedContext(2)
     red = reduce_monomial(ctx, (2, 2, 0, 2))
     assert list(red.terms) == [Monomial(2, 2, 0, 2, EKF)]
     assert len(ctx.monomials()) == 27  # the full spanning set, not the basis
+
+
+def test_skip_reduction_raises_where_a_or_c_exceeds_d():
+    # At d = 0 the fault fails one check only: e^(2) K[0,0] f^(1) has a > d,
+    # so the fault must raise where the healthy context straightens to zero.
+    report = suites.run_suites(list(suites.SUITES), 0, fault="skip-reduction")
+    assert [c for c in report["checks"] if not c["pass"]] == [
+        {
+            "id": "basis/orc-kbinom-closure",
+            "pass": False,
+            "witness": "IndexOutOfRange: monomial Monomial(a=2, b1=0, b2=0, c=1, "
+            "orientation='EKF') is not canonical at degree 0",
+        }
+    ]
+    assert reduce_monomial(Context(0), (2, 0, 0, 1)).is_zero
+    fault = _UnstraightenedContext(0)
+    for orientation in (EKF, FKE):
+        mono = Monomial(2, 0, 0, 1, orientation)
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"{mono} is not canonical")):
+            reduce_monomial(fault, (2, 0, 0, 1), orientation)
+
+
+def test_a_faulted_context_differs_from_the_healthy_one():
+    ctx, fault = Context(2), _UnstraightenedContext(2)
+    assert ctx != fault and fault != ctx
+    assert fault == _UnstraightenedContext(2) and ctx == Context(2)
+    with pytest.raises(ContextMismatch):
+        multiply(identity_element(ctx), identity_element(fault))

@@ -91,6 +91,16 @@ def test_malformed_json_operand_is_a_usage_error(capsys, operand):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lhs", ["() * K[1,1]", "( ) * K[1,1]"], ids=["empty", "blank"])
+def test_an_empty_coefficient_is_a_usage_error(capsys, lhs):
+    code, out, err = run(capsys, "multiply", "--d", "2", "--lhs", lhs, "--rhs", "K[1,1]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad coefficient: ") and err.count("\n") == 1
+    # An explicit zero coefficient is still zero.
+    code, out, _ = run(capsys, "multiply", "--d", "2", "--lhs", "(0) * K[1,1]", "--rhs", "K[1,1]")
+    assert (code, out) == (0, "0\n")
+
+
 def test_a_deeply_nested_json_operand_is_a_usage_error(tmp_path, capsys):
     operand = tmp_path / "nested.json"
     operand.write_text('{"d":2,"terms":' + "[" * 100_000)

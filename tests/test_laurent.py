@@ -316,3 +316,7 @@ def test_parse_rejects_garbage():
         parse_laurent("v^")
     with pytest.raises(ValueError):
         parse_laurent("1 1")
+    for empty in ("", "  "):
+        with pytest.raises(ValueError, match="empty"):
+            parse_laurent(empty)
+    assert parse_laurent(" 0 ").is_zero
