@@ -106,7 +106,7 @@ class Context:
         return hash(self.d)
 
     def __repr__(self) -> str:
-        return f"Context(d={self.d})"
+        return f"{type(self).__name__}(d={self.d})"
 
     def check_pair(self, b1: int, b2: int) -> tuple[int, int]:
         if b1 < 0 or b2 < 0 or b1 + b2 != self.d:
@@ -232,7 +232,7 @@ class Element:
 
     def _require_compatible(self, other: Element) -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatch(f"contexts differ: d={self.ctx.d} vs d={other.ctx.d}")
+            raise ContextMismatch(f"contexts differ: {self.ctx!r} vs {other.ctx!r}")
         if self.orientation != other.orientation:
             raise ContextMismatch(
                 f"orientations differ: {self.orientation} vs {other.orientation}"
@@ -523,6 +523,25 @@ def _relabel(x: Element, target: str) -> Element:
     """
     return Element._raw(
         x.ctx, target, {m.swapped(): coeff for m, coeff in x.terms.items()}
+    )
+
+
+def anti_involution(x: Element) -> Element:
+    """The image of x under the anti-automorphism that fixes K1, K2 and swaps e with f.
+
+    It maps e^(a) K[b1,b2] f^(c) to e^(c) K[b1,b2] f^(a), and f^(a) K[b1,b2] e^(c)
+    to f^(c) K[b1,b2] e^(a), with the same coefficient, so it is its own inverse
+    and multiply(x, y) equals anti_involution(multiply(anti_involution(y),
+    anti_involution(x))).
+
+    >>> ctx = Context(2)
+    >>> anti_involution(monomial_element(ctx, (1, 1, 1, 0)))
+    Element(d=2, EKF, 'K[1,1] f^(1)')
+    """
+    return Element._raw(
+        x.ctx,
+        x.orientation,
+        {Monomial(m.c, m.b1, m.b2, m.a, m.orientation): coeff for m, coeff in x.terms.items()},
     )
 
 

@@ -12,7 +12,16 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .algebra import EKF, FKE, Context, Element, multiply, reduce_monomial, reduction_defect
+from .algebra import (
+    EKF,
+    FKE,
+    Context,
+    Element,
+    anti_involution,
+    multiply,
+    reduce_monomial,
+    reduction_defect,
+)
 from .laurent import LaurentPoly
 from .suites import FAULTS, SUITE_GUARDS, SUITES, run_suites
 from .textio import element_json_text, element_to_json, format_element, parse_element
@@ -185,23 +194,44 @@ def cmd_table(args) -> int:
         )
     ctx = Context(args.d)
     one = LaurentPoly.one()
+    basis = ctx.monomials(EKF)
+    index = {m: i for i, m in enumerate(basis)}
     # Per operand: its idempotents, the line's head when it is the lhs, the
-    # line's middle when it is the rhs, and the element itself.
+    # line's middle when it is the rhs, the element itself and the index of
+    # its image under the anti-involution.
     operands = []
-    for m in ctx.monomials(EKF):
+    for m in basis:
         key = json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c})
         middle = f'"rhs": {key}, "product": '
-        operands.append((m.left, m.right, f'{{"lhs": {key}, ', middle, Element(ctx, EKF, {m: one})))
+        x = Element(ctx, EKF, {m: one})
+        (image,) = anti_involution(x).terms
+        operands.append((m.left, m.right, f'{{"lhs": {key}, ', middle, x, index[image]))
     zero = json.dumps(element_to_json(Element(ctx, EKF)))
+    coeff_texts: dict[LaurentPoly, str] = {}
+
+    def json_text(x: Element) -> str:
+        return element_json_text(x, coeff_texts) if x else zero
+
     # Each line is what json.dumps gives for {"lhs": ..., "rhs": ..., "product": ...};
     # each lhs row is written at once.  A pair whose idempotents do not meet
-    # multiplies to zero (see multiply).
+    # multiplies to zero (see multiply).  The anti-involution tau reverses
+    # products, x * y = tau(tau(y) * tau(x)), so of each pair (i, j) and its
+    # image (tau j, tau i) only the first to be written is multiplied; the
+    # text of the other's product is held until its line comes up.
+    held: dict[tuple[int, int], str] = {}
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for _, right, head, _, x in operands:
+        for i, (_, right, head, _, x, ti) in enumerate(operands):
             row = []
-            for left, _, _, middle, y in operands:
-                product = multiply(x, y) if right == left else None
-                text = element_json_text(product) if product else zero
+            for j, (left, _, _, middle, y, tj) in enumerate(operands):
+                if right != left:
+                    text = zero
+                elif (i, j) in held:
+                    text = held.pop((i, j))
+                else:
+                    product = multiply(x, y)
+                    text = json_text(product)
+                    if (tj, ti) != (i, j):
+                        held[(tj, ti)] = json_text(anti_involution(product))
                 row.append(f"{head}{middle}{text}}}\n")
             fh.write("".join(row))
     return 0

@@ -159,14 +159,21 @@ def element_to_json(x: Element) -> dict:
     }
 
 
-def element_json_text(x: Element) -> str:
-    """Exactly ``json.dumps(element_to_json(x))``, written in one pass without the dicts."""
-    terms = ", ".join(
-        f'{{"a": {m.a}, "b1": {m.b1}, "b2": {m.b2}, "c": {m.c}, "coeff": ['
-        + ", ".join(f'[{e}, "{c}"]' for e, c in coeff.items())
-        + "]}"
-        for m, coeff in x.sorted_terms()
-    )
+def element_json_text(x: Element, coeff_texts: dict[LaurentPoly, str] | None = None) -> str:
+    """Exactly ``json.dumps(element_to_json(x))``, written in one pass without the dicts.
+
+    ``coeff_texts``, when given, holds each coefficient's text across calls, so
+    a coefficient met again is not formatted again.
+    """
+    if coeff_texts is None:
+        coeff_texts = {}
+    parts = []
+    for m, coeff in x.sorted_terms():
+        text = coeff_texts.get(coeff)
+        if text is None:
+            text = coeff_texts[coeff] = ", ".join(f'[{e}, "{c}"]' for e, c in coeff.items())
+        parts.append(f'{{"a": {m.a}, "b1": {m.b1}, "b2": {m.b2}, "c": {m.c}, "coeff": [{text}]}}')
+    terms = ", ".join(parts)
     return f'{{"d": {x.ctx.d}, "orientation": "{x.orientation}", "terms": [{terms}]}}'
 
 

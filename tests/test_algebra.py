@@ -18,6 +18,7 @@ from qschur.algebra import (
     Element,
     IndexOutOfRange,
     Monomial,
+    anti_involution,
     change_from_kbinom_basis,
     change_to_kbinom_basis,
     commute_power_past_idempotent,
@@ -581,6 +582,34 @@ def test_structure_constants_symmetry():
             assert swapped.terms == expected
 
 
+@pytest.mark.parametrize("orientation", (EKF, FKE))
+@pytest.mark.parametrize("d", range(7))
+def test_anti_involution_reverses_every_basis_product(d, orientation):
+    # The table writes x * y as t(t(y) * t(x)) for half its pairs; this checks
+    # that shortcut against the direct product on every basis pair.
+    ctx = Context(d)
+    units = [Element(ctx, orientation, {m: ONE}) for m in ctx.monomials(orientation)]
+    images = [anti_involution(x) for x in units]
+    for x, tx in zip(units, images):
+        for y, ty in zip(units, images):
+            assert multiply(x, y) == anti_involution(multiply(ty, tx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(), st.data())
+def test_anti_involution_on_drawn_elements(x, data):
+    ctx, orientation = x.ctx, x.orientation
+    basis = ctx.monomials(orientation)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(basis), small_polys), max_size=4))
+    y = Element(ctx, orientation, terms)
+    assert multiply(x, y) == anti_involution(multiply(anti_involution(y), anti_involution(x)))
+    assert anti_involution(anti_involution(x)) == x
+    other = FKE if orientation == EKF else EKF
+    assert convert_orientation(anti_involution(x), other) == anti_involution(
+        convert_orientation(x, other)
+    )
+
+
 def test_associativity_sample():
     rng = random.Random(17)
     for d in range(4):
@@ -648,5 +677,7 @@ def test_a_faulted_context_differs_from_the_healthy_one():
     ctx, fault = Context(2), _UnstraightenedContext(2)
     assert ctx != fault and fault != ctx
     assert fault == _UnstraightenedContext(2) and ctx == Context(2)
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(ContextMismatch) as raised:
         multiply(identity_element(ctx), identity_element(fault))
+    # The message tells the two contexts apart.
+    assert str(raised.value) == "contexts differ: Context(d=2) vs _UnstraightenedContext(d=2)"

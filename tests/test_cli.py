@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qschur import cli
 from qschur.algebra import Context, EKF
 from qschur.cli import main
 from qschur.oracle import build_rep, matrix_of_element
@@ -230,24 +231,39 @@ def test_table_guard(capsys):
     assert "guard" in err
 
 
+TABLE_DIGESTS = {
+    2: "add67ec44488d13c9212f88050050c08b439b1b5ff3b4e9832db772763f41d75",
+    4: "535e89ddc9461df54b463d24d091aa48f5b1a0e2bcff0e57e47a72d176c129a9",
+    5: "4682d36af82570a199213fef8d58146bb692014ea3a7285bc8419340b2d0ecf5",
+    6: "1b66f38b87bfc5cd7468d201801cab1bcb89ae29845f4c9302572df42ab1171f",
+}
+
+
 def test_table_bytes_are_pinned(tmp_path, capsys):
-    # Each table line is assembled by hand, so its bytes are pinned: the
-    # recorded digest at d=2, stdout equal to the --out file, and every line
+    # Each table line is assembled by hand, and half the products are written
+    # from the anti-involution's image of another, so the bytes are pinned:
+    # the recorded digests, stdout equal to the --out file, and every line
     # exactly what json.dumps gives for the parsed line.
-    code, out, _ = run(capsys, "table", "--d", "2")
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode()).hexdigest()
-        == "add67ec44488d13c9212f88050050c08b439b1b5ff3b4e9832db772763f41d75"
-    )
-    for d in range(4):
+    for d in range(7):
         code, out, _ = run(capsys, "table", "--d", str(d))
         assert code == 0
+        if d in TABLE_DIGESTS:
+            assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[d]
         target = tmp_path / f"table-{d}.jsonl"
         assert run(capsys, "table", "--d", str(d), "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
         for line in out.splitlines():
             assert line == json.dumps(json.loads(line))
+
+
+def test_table_pins_catch_a_wrong_anti_involution(monkeypatch, capsys):
+    # Negative control: a map that leaves a and c in place writes x * y on
+    # the line of y * x, which no pinned digest accepts.
+    monkeypatch.setattr(cli, "anti_involution", lambda x: x)
+    for d, digest in TABLE_DIGESTS.items():
+        code, out, _ = run(capsys, "table", "--d", str(d))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() != digest
 
 
 def test_table_out_errors(tmp_path, capsys):

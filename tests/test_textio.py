@@ -144,13 +144,20 @@ WIDE = Element(
 )
 
 
+# One coefficient memo for every drawn element, as table shares one for a run.
+SHARED_COEFF_TEXTS: dict = {}
+
+
 @settings(max_examples=200, deadline=None)
 @given(json_elements())
 @example(Element(Context(0), EKF))
 @example(Element(Context(4), FKE))
 @example(WIDE)
 def test_element_json_text_is_json_dumps_of_element_to_json(x):
-    assert element_json_text(x) == json.dumps(element_to_json(x))
+    expected = json.dumps(element_to_json(x))
+    assert element_json_text(x) == expected
+    assert element_json_text(x, SHARED_COEFF_TEXTS) == expected
+    assert all(coeff in SHARED_COEFF_TEXTS for coeff in x.terms.values())
 
 
 def test_json_shape():
