@@ -364,43 +364,6 @@ def idempotent_mul(ctx: Context, left: tuple[int, int], right: tuple[int, int]) 
     return zero_element(ctx)
 
 
-def commute_power_past_idempotent(
-    ctx: Context,
-    side: str,
-    gen: str,
-    power: int,
-    pair: tuple[int, int],
-) -> tuple[int, int] | None:
-    """Move e^power or f^power across an idempotent.
-
-    ``side`` names the side of the idempotent the generator power starts on.
-    Returns the idempotent pair appearing on the other side, or None when the
-    product is zero:
-
-    ==== ==== =============================== ==========
-    gen  side rewrite                         zero when
-    ==== ==== =============================== ==========
-    e    right K[b1,b2] e^a -> e^a K[b1-a,b2+a]  b1 < a
-    e    left  e^a K[b1,b2] -> K[b1+a,b2-a] e^a  b2 < a
-    f    left  f^a K[b1,b2] -> K[b1-a,b2+a] f^a  b1 < a
-    f    right K[b1,b2] f^a -> f^a K[b1+a,b2-a]  b2 < a
-    ==== ==== =============================== ==========
-    """
-    b1, b2 = ctx.check_pair(*pair)
-    if power < 0:
-        raise IndexOutOfRange("generator power must be nonnegative")
-    if gen not in ("e", "f") or side not in ("left", "right"):
-        raise ValueError(f"bad gen/side: {gen!r}/{side!r}")
-    lowers = (gen == "e" and side == "right") or (gen == "f" and side == "left")
-    if lowers:
-        if b1 < power:
-            return None
-        return (b1 - power, b2 + power)
-    if b2 < power:
-        return None
-    return (b1 + power, b2 - power)
-
-
 # ---------------------------------------------------------------------------
 # Straightening
 # ---------------------------------------------------------------------------

@@ -16,11 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-# Evaluation results are exact rationals; Fraction already guarantees the
-# reduced-form invariants (gcd(|num|, den) = 1, den > 0).
-RationalScalar = Fraction
-
-
 class NotDivisible(ArithmeticError):
     """Exact division failed; in this library that means a broken integrality claim."""
 
@@ -43,7 +38,9 @@ class LaurentPoly:
     LaurentPoly('v^2 + v^-2')
     """
 
-    __slots__ = ("_terms",)
+    # _hash is filled by the first hash() call; every constructor leaves it
+    # unset, and no operation changes _terms after construction.
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -118,10 +115,16 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         # A constant equals its integer, so it must hash as that integer.
         if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
-        return hash(tuple(sorted(self._terms.items())))
+            self._hash = hash(self._terms.get(0, 0))
+        else:
+            self._hash = hash(tuple(sorted(self._terms.items())))
+        return self._hash
 
     # -- ring operations ---------------------------------------------------
 

@@ -118,6 +118,9 @@ class LaurentMatrix:
                     acc[key] = n
         return LaurentMatrix._raw(self.dim, acc)
 
+    def transpose(self) -> LaurentMatrix:
+        return LaurentMatrix._raw(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
+
     def exact_div_scalar(self, scalar: LaurentPoly) -> LaurentMatrix:
         return LaurentMatrix(
             self.dim, {k: v.exact_div(scalar) for k, v in self.entries.items()}
@@ -146,9 +149,10 @@ class OracleRep:
 
     Immutable after construction apart from one cache, ``_dp_cache``: it
     holds the divided powers keyed by (gen, m), the idempotent projectors
-    keyed by ("K", b1, b2), and the basis words outer^(a) K[b1,b2]
-    inner^(c) that :func:`matrix_of_element` has evaluated, keyed by
-    ("word", monomial).  Each entry is a pure function of its key, so a
+    keyed by ("K", b1, b2), the basis words outer^(a) K[b1,b2] inner^(c)
+    that :func:`matrix_of_element` has evaluated, keyed by
+    ("word", monomial), and the :func:`contravariant_form`, keyed by
+    ("form",).  Each entry is a pure function of its key, so a
     concurrent duplicate fill is benign.
 
     Matrices handed out by this module, cached ones included, are shared:
@@ -272,7 +276,7 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
     if x.ctx.d != rep.d:
         raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
     outer, inner = GENERATOR_ORDER[x.orientation]
-    total = LaurentMatrix(rep.dim)
+    acc: dict[tuple[int, int], LaurentPoly] = {}
     for m, coeff in x.terms.items():
         # The monomial carries its orientation, so it alone keys its word.
         key = ("word", m)
@@ -284,8 +288,40 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
                 * matrix_of_divided_power(rep, inner, m.c)
             )
             rep._dp_cache[key] = word
-        total = total + word.scale(coeff)
-    return total
+        for cell, val in word.entries.items():
+            n = acc.get(cell)
+            acc[cell] = val * coeff if n is None else n + val * coeff
+    return LaurentMatrix._raw(rep.dim, {k: v for k, v in acc.items() if v})
+
+
+def contravariant_form(rep: OracleRep) -> LaurentMatrix:
+    """The diagonal D with D M(tau x) = M(x)^T D for every element x.
+
+    tau is :func:`algebra.anti_involution`.  D is read off the generators:
+    walked by column, each entry f[r,c] sets D[r] = D[c] e[c,r] / f[r,c],
+    divided exactly, if no earlier one has; D is 1 on the vectors that f
+    does not reach.  A zero entry raises ValueError, so D is invertible;
+    the identity itself is for the caller to check.  On the Weyl modules,
+    block k's v_j gets [d-2k; j].
+
+    >>> form = contravariant_form(build_rep(2))
+    >>> [str(form.entries[i, i]) for i in range(form.dim)]
+    ['1', 'v + v^-1', '1', '1']
+    """
+    form = rep._dp_cache.get(("form",))
+    if form is None:
+        values = [LaurentPoly.one()] * rep.dim
+        reached = set()
+        for (r, c), val in sorted(rep.f.entries.items(), key=lambda kv: kv[0][::-1]):
+            if r not in reached:
+                reached.add(r)
+                up = rep.e.entries.get((c, r), LaurentPoly.zero())
+                values[r] = (values[c] * up).exact_div(val)
+        form = LaurentMatrix.diagonal(values)
+        if len(form.entries) != rep.dim:
+            raise ValueError("the contravariant form has a zero entry")
+        rep._dp_cache[("form",)] = form
+    return form
 
 
 def oracle_equal(rep: OracleRep, x: Element, y: Element) -> bool:

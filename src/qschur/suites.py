@@ -496,15 +496,43 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     rng = random.Random(seed or (1009 + d))
 
     def homomorphism():
+        # Every pair is multiplied, but matrices only for the first visited
+        # pair of each orbit {(i, j), (tau j, tau i)}; the other pair must
+        # equal the tau-image x * y = tau(tau y * tau x) of its product.  The
+        # checks after the loop finish the proof for every pair: projectors
+        # make M(x) M(y) zero when the idempotents do not meet, and the
+        # invertible D with D M(tau w) = M(w)^T D carries an orbit's check.
         basis = ctx.monomials(EKF)
-        unit_elements = [
-            algebra.Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis
-        ]
-        matrices = [oracle.matrix_of_element(rep, x) for x in unit_elements]
-        for i, x in enumerate(unit_elements):
-            for j, y in enumerate(unit_elements):
-                if oracle.matrix_of_element(rep, multiply(x, y)) != matrices[i] * matrices[j]:
-                    return f"product of basis monomials {basis[i]} and {basis[j]} disagrees"
+        index = {m: i for i, m in enumerate(basis)}
+        units = [algebra.Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis]
+        matrices = [oracle.matrix_of_element(rep, x) for x in units]
+        tau = [index[image] for x in units for image in algebra.anti_involution(x).terms]
+        held: dict[tuple[int, int], algebra.Element] = {}
+        for i, (m, x) in enumerate(zip(basis, units)):
+            for j, (n, y) in enumerate(zip(basis, units)):
+                product = multiply(x, y)
+                if m.right != n.left:
+                    ok = product.is_zero
+                elif (i, j) in held:
+                    ok = product == held.pop((i, j))
+                else:
+                    ok = oracle.matrix_of_element(rep, product) == matrices[i] * matrices[j]
+                    if (tau[j], tau[i]) != (i, j):
+                        held[(tau[j], tau[i])] = algebra.anti_involution(product)
+                if not ok:
+                    return f"product of basis monomials {m} and {n} disagrees"
+        ends = {b for m in basis for b in (m.left, m.right)}
+        projectors = {b: oracle.idempotent_projector(rep, b, d - b) for b in sorted(ends)}
+        for p, mp in projectors.items():
+            for q, mq in projectors.items():
+                if p < q and not (mp * mq).is_zero:
+                    return f"projectors K[{p},{d - p}] and K[{q},{d - q}] are not orthogonal"
+        form = oracle.contravariant_form(rep)
+        for m, word, image in zip(basis, matrices, tau):
+            if not projectors[m.left] * word == word == word * projectors[m.right]:
+                return f"basis word {m} is not fixed by its idempotents"
+            if form * matrices[image] != word.transpose() * form:
+                return f"contravariant form fails on basis word {m}"
         return None
 
     _run(checks, "orc-homomorphism", homomorphism)

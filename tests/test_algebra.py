@@ -21,7 +21,6 @@ from qschur.algebra import (
     anti_involution,
     change_from_kbinom_basis,
     change_to_kbinom_basis,
-    commute_power_past_idempotent,
     convert_orientation,
     divided_power_element,
     generator_element,
@@ -173,22 +172,39 @@ def test_idempotents_agree_with_generic_multiply():
 # -- commutation rules --------------------------------------------------------
 
 
-def test_commute_power_past_idempotent():
-    ctx2 = Context(2)
-    # K[1,1] e^1 -> e^1 K[0,2]
-    assert commute_power_past_idempotent(ctx2, "right", "e", 1, (1, 1)) == (0, 2)
-    # K[0,2] e^1 -> 0
-    assert commute_power_past_idempotent(ctx2, "right", "e", 1, (0, 2)) is None
-    ctx1 = Context(1)
-    # e^1 K[0,1] -> K[1,0] e^1
-    assert commute_power_past_idempotent(ctx1, "left", "e", 1, (0, 1)) == (1, 0)
-    # f rules mirror the e rules
-    assert commute_power_past_idempotent(ctx2, "left", "f", 1, (1, 1)) == (0, 2)
-    assert commute_power_past_idempotent(ctx2, "left", "f", 2, (1, 1)) is None
-    assert commute_power_past_idempotent(ctx2, "right", "f", 1, (1, 1)) == (2, 0)
-    assert commute_power_past_idempotent(ctx2, "right", "f", 2, (1, 1)) is None
+def test_left_and_right_move_powers_past_idempotents():
+    # Monomial.left and .right hold the rule x K[b1,b2] = K[b1',b2'] x for a
+    # divided power x; an index outside 0..d means the product vanishes.
+    ctx1, ctx2 = Context(1), Context(2)
+    e1 = generator_element(ctx1, "e")
+    e2, f2 = generator_element(ctx2, "e"), generator_element(ctx2, "f")
+
+    def k1(b1):
+        return idempotent_element(ctx1, b1, 1 - b1)
+
+    def k2(b1):
+        return idempotent_element(ctx2, b1, 2 - b1)
+
+    # K[1,1] e = e K[0,2], and K[0,2] e = 0
+    assert Monomial(1, 0, 2, 0).left == 1
+    assert multiply(k2(1), e2) == multiply(e2, k2(0)) == monomial_element(ctx2, (1, 0, 2, 0))
+    assert Monomial(0, 0, 2, 1, FKE).right == -1
+    assert multiply(k2(0), e2).is_zero
+    # e K[0,1] = K[1,0] e
+    assert Monomial(1, 0, 1, 0).left == 1
+    assert multiply(e1, k1(0)) == multiply(k1(1), e1) == e1
+    # f rules mirror the e rules: f K[1,1] = K[0,2] f, f^(2) K[1,1] = 0,
+    # K[1,1] f = f K[2,0] and K[1,1] f^(2) = 0
+    assert Monomial(1, 1, 1, 0, FKE).left == 0
+    assert multiply(f2, k2(1)) == multiply(k2(0), f2) == monomial_element(ctx2, (0, 0, 2, 1))
+    assert Monomial(2, 1, 1, 0, FKE).left == -1
+    assert multiply(divided_power_element(ctx2, "f", 2), k2(1)).is_zero
+    assert Monomial(0, 1, 1, 1).right == 2
+    assert multiply(k2(1), f2) == multiply(f2, k2(2)) == monomial_element(ctx2, (0, 1, 1, 1))
+    assert Monomial(0, 1, 1, 2).right == 3
+    assert multiply(k2(1), divided_power_element(ctx2, "f", 2)).is_zero
     with pytest.raises(IndexOutOfRange):
-        commute_power_past_idempotent(ctx2, "right", "e", 1, (3, -1))
+        Element(ctx2, EKF, {Monomial(1, 3, -1, 0): 1})
 
 
 # -- straightening ------------------------------------------------------------

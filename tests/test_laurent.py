@@ -95,6 +95,29 @@ def test_a_constant_hashes_as_its_integer(n):
     assert {c: 1}.get(n) == 1 and {n: 1}.get(c) == 1
 
 
+def test_equal_polynomials_hash_equal_however_built():
+    # The hash is cached on first use.  Every way of building a polynomial
+    # must leave that cache empty, even from operands whose hash is cached.
+    want = LaurentPoly({2: 3, -2: -3})
+    operands = [LaurentPoly({2: 3}), LaurentPoly({-2: -3}), LaurentPoly({3: 3, -1: -3})]
+    operands += [V(1) + V(-1), LaurentPoly({1: 3, -1: -3}), LaurentPoly({2: -3, -2: 3})]
+    for x in operands:
+        hash(x)
+    built = [
+        LaurentPoly([(2, 3), (-2, -3)]),
+        operands[0] + operands[1],
+        operands[2] * V(-1),  # the shift path
+        operands[3] * operands[4],  # the convolution
+        -operands[5],
+        LaurentPoly.from_json([[-2, "-3"], [2, "3"]]),
+    ]
+    for x in built:
+        assert x == want and hash(x) == hash(want) == hash(x)
+        assert {want: 1}[x] == 1
+    three = LaurentPoly.from_int(3)
+    assert hash(three) == hash(3) == hash(three)
+
+
 @given(polys, polys, polys)
 def test_ring_axioms(x, y, z):
     assert x + y == y + x

@@ -6,15 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qschur.algebra import EKF, FKE, Context, Element, Monomial, identity_element, multiply, zero_element
-from qschur.laurent import LaurentPoly, quantum_int
-from qschur import oracle, suites
+from qschur.algebra import (
+    EKF,
+    FKE,
+    Context,
+    Element,
+    Monomial,
+    anti_involution,
+    identity_element,
+    multiply,
+    zero_element,
+)
+from qschur.laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
+from qschur import algebra, oracle, suites
 from qschur.cli import main
 from qschur.oracle import (
     CoproductCheckFailed,
     LaurentMatrix,
     OracleRep,
     build_rep,
+    contravariant_form,
     diagonal_kbinom,
     idempotent_projector,
     matrix_of_divided_power,
@@ -79,8 +90,7 @@ def test_defining_relations(d):
 
 def test_mutated_rep_fails_with_witness():
     rep = build_rep(2)
-    e_transposed = LaurentMatrix(rep.dim, {(c, r): val for (r, c), val in rep.e.entries.items()})
-    bad = OracleRep(2, e_transposed, rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv)
+    bad = OracleRep(2, rep.e.transpose(), rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv)
     report = verify_defining_relations(bad)
     assert not report["pass"]
     failed = {c["id"]: c for c in report["checks"] if not c["pass"]}
@@ -543,3 +553,116 @@ def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
     # checks, not the build's self-check, must catch it.
     for suite in (suites.suite_relations, suites.suite_reduction):
         assert not all(c["pass"] for c in suite(2, ctx, rep))
+
+
+# -- the contravariant form and the tau-orbit sweep --------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix_pairs())
+def test_transpose_is_an_anti_involution_of_the_product(pair):
+    a, b = pair
+    assert a.transpose().transpose() == a
+    assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+def test_the_form_on_the_weyl_modules_is_a_gaussian_binomial():
+    for d in range(9):
+        rep = build_rep(d)
+        # Block k's v_j gets [n; j], n = d - 2k.
+        ns = [d - 2 * k for k in range(d // 2 + 1)]
+        want = [gauss_binomial(n, j) for n in ns for j in range(n + 1)]
+        form = contravariant_form(rep)
+        assert form == LaurentMatrix.diagonal(want)
+        assert form * rep.f == rep.e.transpose() * form
+        assert contravariant_form(rep) is form  # cached
+
+
+def test_the_form_on_the_tensor_power_has_monomial_entries():
+    for d in range(5):
+        rep = tensor_rep(d)
+        form = contravariant_form(rep)
+        assert len(form.entries) == rep.dim
+        assert all(len(val) == 1 for val in form.entries.values())
+        assert form * rep.f == rep.e.transpose() * form
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_the_form_transposes_every_basis_word_into_its_image(d):
+    ctx, rep = Context(d), build_rep(d)
+    form = contravariant_form(rep)
+    for orientation in (EKF, FKE):
+        for m in ctx.monomials(orientation):
+            x = Element(ctx, orientation, {m: ONE})
+            lhs = form * matrix_of_element(rep, anti_involution(x))
+            assert lhs == matrix_of_element(rep, x).transpose() * form, m
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_broken_module_has_no_contravariant_form(d):
+    rep = OracleRep(d, *suites._weyl_with_short_e(d))
+    try:
+        form = contravariant_form(rep)
+    except (ValueError, NotDivisible):
+        return
+    assert form * rep.f != rep.e.transpose() * form
+
+
+def _homomorphism_witness(d):
+    (check,) = (c for c in suites.run_suite("oracle", d)["checks"] if c["id"] == "orc-homomorphism")
+    return check.get("witness")
+
+
+def _pairs(d):
+    """The EKF basis, its tau index map and its pairs in the sweep's order."""
+    basis = Context(d).monomials(EKF)
+    tau = [basis.index(Monomial(m.c, m.b1, m.b2, m.a)) for m in basis]
+    return basis, tau, [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+
+
+def _patch_multiply(monkeypatch, lhs, rhs, wrong):
+    healthy = suites.multiply
+
+    def patched(x, y):
+        if x.terms == {lhs: ONE} and y.terms == {rhs: ONE}:
+            return wrong(healthy(x, y))
+        return healthy(x, y)
+
+    monkeypatch.setattr(suites, "multiply", patched)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("control", ["identity-tau", "second-of-orbit", "orthogonal", "form"])
+def test_the_homomorphism_sweep_catches_each_gap(d, control, monkeypatch):
+    assert _homomorphism_witness(d) is None
+    basis, tau, pairs = _pairs(d)
+    if control == "identity-tau":
+        monkeypatch.setattr(algebra, "anti_involution", lambda x: x)
+        assert _homomorphism_witness(d) is not None
+        return
+    if control == "form":
+        healthy = oracle.contravariant_form
+
+        def negated(rep):
+            entries = healthy(rep).entries
+            return LaurentMatrix(rep.dim, {**entries, (0, 0): -entries[0, 0]})
+
+        monkeypatch.setattr(oracle, "contravariant_form", negated)
+        assert _homomorphism_witness(d).startswith("contravariant form fails on basis word ")
+        return
+    if control == "second-of-orbit":
+        # The later pair of the first orbit of two pairs with a nonzero product.
+        i, j = next(
+            (tau[j], tau[i])
+            for i, j in pairs
+            if basis[i].right == basis[j].left
+            and (tau[j], tau[i]) > (i, j)
+            and multiply(*(Element(Context(d), EKF, {basis[k]: ONE}) for k in (i, j)))
+        )
+        _patch_multiply(monkeypatch, basis[i], basis[j], lambda p: p.scale(2))
+    else:
+        i, j = next((i, j) for i, j in pairs if basis[i].right != basis[j].left)
+        ctx = Context(d)
+        _patch_multiply(monkeypatch, basis[i], basis[j], lambda p: identity_element(ctx))
+    want = f"product of basis monomials {basis[i]} and {basis[j]} disagrees"
+    assert _homomorphism_witness(d) == want
