@@ -351,20 +351,6 @@ def generator_element(ctx: Context, gen: str, orientation: str = EKF) -> Element
 
 
 # ---------------------------------------------------------------------------
-# Degree-zero calculus
-# ---------------------------------------------------------------------------
-
-
-def idempotent_mul(ctx: Context, left: tuple[int, int], right: tuple[int, int]) -> Element:
-    """K[b1,b2] * K[b1',b2']: the idempotents are mutually orthogonal."""
-    ctx.check_pair(*left)
-    ctx.check_pair(*right)
-    if left == right:
-        return idempotent_element(ctx, *left)
-    return zero_element(ctx)
-
-
-# ---------------------------------------------------------------------------
 # Straightening
 # ---------------------------------------------------------------------------
 
@@ -631,16 +617,12 @@ def random_element(
     rng: random.Random,
     orientation: str = EKF,
     max_terms: int = 3,
-    coeff_span: int = 2,
 ) -> Element:
-    """A small random canonical element with monomial coefficients."""
+    """A small random canonical element with coefficients c v^k, c in {±1, ±2}, |k| <= 2."""
     basis = ctx.monomials(orientation)
     n = rng.randint(1, max_terms)
     terms: dict[Monomial, LaurentPoly] = {}
     for _ in range(n):
         m = rng.choice(basis)
-        coeff = LaurentPoly(
-            {rng.randint(-coeff_span, coeff_span): rng.choice([-2, -1, 1, 2])}
-        )
-        _add_term(terms, m, coeff)
+        _add_term(terms, m, LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}))
     return Element(ctx, orientation, terms)

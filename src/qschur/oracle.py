@@ -457,7 +457,7 @@ def verify_defining_relations(rep: OracleRep) -> dict:
     return _report(rep.d, "defining-relations", checks)
 
 
-def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
+def verify_lusztig_identities(rep: OracleRep) -> dict:
     """Check the standard divided-power and K-binomial identities, entrywise.
 
     The identity families cover conjugation by K powers, K-binomials sliding
@@ -470,6 +470,7 @@ def verify_lusztig_identities(rep: OracleRep, bound: int = 4) -> dict:
     call only.
     """
     checks: list[dict] = []
+    bound = 4  # the largest |n| of K^n, and of the K-binomial indices c and t
     v = LaurentPoly.v
     dim = rep.dim
     zero = LaurentMatrix(dim)

@@ -18,7 +18,6 @@ from . import algebra, oracle
 from .algebra import EKF, FKE, Context, identity_element, k_element, multiply, zero_element
 from .laurent import LaurentPoly, gauss_binomial, quantum_int
 
-SUITES = ("relations", "idempotents", "reduction", "basis", "oracle", "lusztig")
 SUITE_GUARDS = {
     "relations": 6,
     "idempotents": 10,
@@ -105,12 +104,28 @@ def _build_rep(d: int, fault: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _minimal_poly(ctx: Context, base, roots: list[int]):
-    ident = identity_element(ctx)
+def _minimal_poly(ident, base, roots):
+    """The product of (base - v^r) over the roots, in the ring whose unit is ident.
+
+    Serves both Elements and LaurentMatrix values: each has *, - and scale.
+    """
     acc = ident
     for r in roots:
-        acc = multiply(acc, base - ident.scale(LaurentPoly.v(r)))
+        acc = acc * (base - ident.scale(LaurentPoly.v(r)))
     return acc
+
+
+def _omittable_root(ident, base, roots, witness: str) -> str | None:
+    """None if base is killed by no product that leaves out one root, else a witness.
+
+    If any proper sub-product of the minimal polynomial vanished, a maximal
+    one (omitting a single root) would vanish too; ``witness`` is formatted
+    with the first root that can be left out.
+    """
+    for j in roots:
+        if _minimal_poly(ident, base, [r for r in roots if r != j]).is_zero:
+            return witness.format(j)
+    return None
 
 
 def suite_relations(d: int, ctx: Context, rep) -> list[dict]:
@@ -120,105 +135,66 @@ def suite_relations(d: int, ctx: Context, rep) -> list[dict]:
     zero = zero_element(ctx)
     e = algebra.generator_element(ctx, "e")
     f = algebra.generator_element(ctx, "f")
-    k1 = k_element(ctx, "K1")
-    k1i = k_element(ctx, "K1inv")
-    k2 = k_element(ctx, "K2")
-    k2i = k_element(ctx, "K2inv")
-    kk = k_element(ctx, "K")
-    kki = k_element(ctx, "Kinv")
-
-    _run(checks, "sym-k1-inverse", lambda: _elements_equal(multiply(k1, k1i), ident))
-    _run(checks, "sym-k2-inverse", lambda: _elements_equal(multiply(k2, k2i), ident))
-    _run(checks, "sym-k-inverse", lambda: _elements_equal(multiply(kk, kki), ident))
+    k1, k1i, k2, k2i, kk, kki = (
+        k_element(ctx, name) for name in ("K1", "K1inv", "K2", "K2inv", "K", "Kinv")
+    )
+    spectrum = range(d + 1)
+    k_spectrum = [d - 2 * i for i in spectrum]
+    # (name, K, K^-1, weight of e, eigenvalue exponents) for K1, K2 and
+    # K = v^-d K1^2: K e K^-1 = v^weight e, K f K^-1 = v^-weight f.
+    families = (
+        ("k1", k1, k1i, 1, spectrum),
+        ("k2", k2, k2i, -1, spectrum),
+        ("k", kk, kki, 2, k_spectrum),
+    )
+    for name, k, ki, _, _ in families:
+        _run(checks, f"sym-{name}-inverse", lambda k=k, ki=ki: _elements_equal(k * ki, ident))
     _run(
         checks,
         "sym-k-is-scaled-k1-squared",
-        lambda: _elements_equal(kk, multiply(k1, k1).scale(v(-d))),
+        lambda: _elements_equal(kk, (k1 * k1).scale(v(-d))),
     )
-    _run(
-        checks,
-        "sym-k1-conj-e",
-        lambda: _elements_equal(multiply(multiply(k1, e), k1i), e.scale(v(1))),
-    )
-    _run(
-        checks,
-        "sym-k1-conj-f",
-        lambda: _elements_equal(multiply(multiply(k1, f), k1i), f.scale(v(-1))),
-    )
-    _run(
-        checks,
-        "sym-k2-conj-e",
-        lambda: _elements_equal(multiply(multiply(k2, e), k2i), e.scale(v(-1))),
-    )
-    _run(
-        checks,
-        "sym-k2-conj-f",
-        lambda: _elements_equal(multiply(multiply(k2, f), k2i), f.scale(v(1))),
-    )
-    _run(
-        checks,
-        "sym-k-conj-e",
-        lambda: _elements_equal(multiply(multiply(kk, e), kki), e.scale(v(2))),
-    )
-    _run(
-        checks,
-        "sym-k-conj-f",
-        lambda: _elements_equal(multiply(multiply(kk, f), kki), f.scale(v(-2))),
-    )
+    for name, k, ki, weight, _ in families:
+        for gen, x, w in (("e", e, weight), ("f", f, -weight)):
+            _run(
+                checks,
+                f"sym-{name}-conj-{gen}",
+                lambda k=k, ki=ki, x=x, w=w: _elements_equal(k * x * ki, x.scale(v(w))),
+            )
     _run(
         checks,
         "sym-k1k2-central-scalar",
-        lambda: _elements_equal(multiply(k1, k2), ident.scale(v(d))),
+        lambda: _elements_equal(k1 * k2, ident.scale(v(d))),
     )
 
-    def commutator_k1_form():
-        lhs = multiply(e, f) - multiply(f, e)
-        num = multiply(k1, k1).scale(v(-d)) - multiply(k1i, k1i).scale(v(d))
-        return _elements_equal(lhs, num.exact_div_scalar(v(1) - v(-1)))
+    # ef - fe = (K - K^-1) / (v - v^-1), with K written through each family.
+    numerators = {
+        "k1": lambda: (k1 * k1).scale(v(-d)) - (k1i * k1i).scale(v(d)),
+        "k": lambda: kk - kki,
+        "k2": lambda: (k2i * k2i).scale(v(d)) - (k2 * k2).scale(v(-d)),
+    }
+    for name, numerator in numerators.items():
+        _run(
+            checks,
+            f"sym-ef-commutator-{name}-form",
+            lambda numerator=numerator: _elements_equal(
+                e * f - f * e, numerator().exact_div_scalar(v(1) - v(-1))
+            ),
+        )
 
-    _run(checks, "sym-ef-commutator-k1-form", commutator_k1_form)
-
-    def commutator_k_form():
-        lhs = multiply(e, f) - multiply(f, e)
-        return _elements_equal(lhs, (kk - kki).exact_div_scalar(v(1) - v(-1)))
-
-    _run(checks, "sym-ef-commutator-k-form", commutator_k_form)
-
-    def commutator_k2_form():
-        lhs = multiply(e, f) - multiply(f, e)
-        num = multiply(k2i, k2i).scale(v(d)) - multiply(k2, k2).scale(v(-d))
-        return _elements_equal(lhs, num.exact_div_scalar(v(1) - v(-1)))
-
-    _run(checks, "sym-ef-commutator-k2-form", commutator_k2_form)
-
+    for name, k, _, _, roots in families:
+        _run(
+            checks,
+            f"sym-{name}-minimal-poly",
+            lambda k=k, roots=roots: _elements_equal(_minimal_poly(ident, k, roots), zero),
+        )
     _run(
         checks,
-        "sym-k1-minimal-poly",
-        lambda: _elements_equal(_minimal_poly(ctx, k1, list(range(d + 1))), zero),
-    )
-    _run(
-        checks,
-        "sym-k2-minimal-poly",
-        lambda: _elements_equal(_minimal_poly(ctx, k2, list(range(d + 1))), zero),
-    )
-    _run(
-        checks,
-        "sym-k-minimal-poly",
-        lambda: _elements_equal(
-            _minimal_poly(ctx, kk, [d - 2 * i for i in range(d + 1)]), zero
+        "sym-k1-spectrum-complete",
+        lambda: _omittable_root(
+            ident, k1, spectrum, "product omitting eigenvalue v^{} already vanishes"
         ),
     )
-
-    def spectrum_complete():
-        # If any proper sub-product of the minimal polynomial vanished, a
-        # maximal one (omitting a single root) would vanish too.
-        for j in range(d + 1):
-            roots = [i for i in range(d + 1) if i != j]
-            if _minimal_poly(ctx, k1, roots).is_zero:
-                return f"product omitting eigenvalue v^{j} already vanishes"
-        return None
-
-    _run(checks, "sym-k1-spectrum-complete", spectrum_complete)
 
     for c in oracle.verify_defining_relations(rep)["checks"]:
         checks.append({**c, "id": "orc-" + c["id"]})
@@ -227,38 +203,29 @@ def suite_relations(d: int, ctx: Context, rep) -> list[dict]:
     kmat = (rep.k1 * rep.k1).scale(v(-d))
 
     def oracle_k_minimal_poly():
-        acc = ident_m
-        for i in range(d + 1):
-            acc = acc * (kmat - ident_m.scale(v(d - 2 * i)))
+        acc = _minimal_poly(ident_m, kmat, k_spectrum)
         return None if acc.is_zero else f"nonzero entries {sorted(acc.entries)[:3]}"
 
     _run(checks, "orc-k-minimal-poly", oracle_k_minimal_poly)
 
     def oracle_spectrum():
         got = sorted(set(rep.k1.diagonal_exponents()))
-        want = list(range(d + 1))
+        want = list(spectrum)
         return None if got == want else f"K1 exponents {got} != {want}"
 
     _run(checks, "orc-k1-eigenvalue-spectrum", oracle_spectrum)
-
-    def oracle_spectrum_complete():
-        for j in range(d + 1):
-            acc = ident_m
-            for i in range(d + 1):
-                if i != j:
-                    acc = acc * (rep.k1 - ident_m.scale(v(i)))
-            if acc.is_zero:
-                return f"matrix product omitting v^{j} vanishes"
-        return None
-
-    _run(checks, "orc-k1-spectrum-complete", oracle_spectrum_complete)
-
+    _run(
+        checks,
+        "orc-k1-spectrum-complete",
+        lambda: _omittable_root(
+            ident_m, rep.k1, spectrum, "matrix product omitting v^{} vanishes"
+        ),
+    )
     _run(
         checks,
         "orc-symbolic-agreement",
         lambda: None
-        if oracle.matrix_of_element(rep, multiply(e, f) - multiply(f, e))
-        == rep.e * rep.f - rep.f * rep.e
+        if oracle.matrix_of_element(rep, e * f - f * e) == rep.e * rep.f - rep.f * rep.e
         else "symbolic commutator disagrees with the matrix commutator",
     )
     return checks
@@ -287,11 +254,10 @@ def suite_idempotents(d: int, ctx: Context, rep) -> list[dict]:
                 want = (
                     algebra.idempotent_element(ctx, *p) if p == q else zero_element(ctx)
                 )
-                got_direct = algebra.idempotent_mul(ctx, p, q)
-                got_generic = multiply(
+                got = multiply(
                     algebra.idempotent_element(ctx, *p), algebra.idempotent_element(ctx, *q)
                 )
-                if got_direct != want or got_generic != want:
+                if got != want:
                     return f"K{p} * K{q} is wrong"
         return None
 
@@ -346,46 +312,43 @@ def suite_idempotents(d: int, ctx: Context, rep) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _straightened_quads(ctx: Context, orientation: str):
+    """The quadruples (a, b1, d-b1, c) with a, c <= d whose fake degree exceeds d."""
+    d = ctx.d
+    for a in range(d + 1):
+        for b1 in range(d + 1):
+            for c in range(d + 1):
+                quad = (a, b1, d - b1, c)
+                if algebra.reduction_defect(ctx, quad, orientation) > 0:
+                    yield quad
+
+
 def suite_reduction(d: int, ctx: Context, rep) -> list[dict]:
     checks: list[dict] = []
     for orientation in (EKF, FKE):
         tag = orientation.lower()
 
         def structural(orientation=orientation):
-            for a in range(d + 1):
-                for b1 in range(d + 1):
-                    for c in range(d + 1):
-                        quad = (a, b1, d - b1, c)
-                        if algebra.reduction_defect(ctx, quad, orientation) <= 0:
-                            continue
-                        red = algebra.reduce_monomial(ctx, quad, orientation)
-                        for m in red.terms:
-                            if (
-                                m.fake_degree > d
-                                or min(m.a, m.b1, m.b2, m.c) < 0
-                                or m.b1 + m.b2 != d
-                            ):
-                                return f"reduce{quad} emitted non-canonical {m}"
+            for quad in _straightened_quads(ctx, orientation):
+                for m in algebra.reduce_monomial(ctx, quad, orientation).terms:
+                    if m.fake_degree > d or min(m.a, m.b1, m.b2, m.c) < 0 or m.b1 + m.b2 != d:
+                        return f"reduce{quad} emitted non-canonical {m}"
             return None
 
         _run(checks, f"sym-reduction-emits-canonical-{tag}", structural)
 
         def oracle_agreement(orientation=orientation):
             outer, inner = algebra.GENERATOR_ORDER[orientation]
-            for a in range(d + 1):
-                for b1 in range(d + 1):
-                    for c in range(d + 1):
-                        quad = (a, b1, d - b1, c)
-                        if algebra.reduction_defect(ctx, quad, orientation) <= 0:
-                            continue
-                        raw = (
-                            oracle.matrix_of_divided_power(rep, outer, a)
-                            * oracle.idempotent_projector(rep, b1, d - b1)
-                            * oracle.matrix_of_divided_power(rep, inner, c)
-                        )
-                        red = algebra.reduce_monomial(ctx, quad, orientation)
-                        if raw != oracle.matrix_of_element(rep, red):
-                            return f"straightening of {quad} ({orientation}) disagrees"
+            for quad in _straightened_quads(ctx, orientation):
+                a, b1, b2, c = quad
+                raw = (
+                    oracle.matrix_of_divided_power(rep, outer, a)
+                    * oracle.idempotent_projector(rep, b1, b2)
+                    * oracle.matrix_of_divided_power(rep, inner, c)
+                )
+                red = algebra.reduce_monomial(ctx, quad, orientation)
+                if raw != oracle.matrix_of_element(rep, red):
+                    return f"straightening of {quad} ({orientation}) disagrees"
             return None
 
         _run(checks, f"orc-reduction-matches-raw-word-{tag}", oracle_agreement)
@@ -461,8 +424,9 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     _run(checks, "sym-kbinom-round-trip", round_trip)
 
     def closure():
-        # Out-of-range triples must straighten to canonical elements whose
-        # matrices match the raw word e^(a) [K1;b] f^(c).
+        # Every K-binomial unit, and 25 sampled out-of-range triples (which
+        # must straighten to canonical elements), must have the matrix of
+        # the raw word e^(a) [K1;b] f^(c).
         triples = [
             (a, b, c)
             for a in range(d + 3)
@@ -471,7 +435,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             if a + b + c > d
         ]
         rng.shuffle(triples)
-        for a, b, c in triples[:25]:
+        for a, b, c in triples[:25] + algebra.kbinom_index_set(ctx):
             elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
             raw = (
                 oracle.matrix_of_divided_power(rep, "e", a)
@@ -598,8 +562,27 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# lusztig and the dispatcher
 # ---------------------------------------------------------------------------
+
+
+def suite_lusztig(d: int, ctx: Context, rep) -> list[dict]:
+    try:
+        return oracle.verify_lusztig_identities(rep)["checks"]
+    except Exception as exc:
+        return [_crashed("lusztig-identities", exc)]
+
+
+# Each suite as a function of (d, ctx, rep, seed), in report order.
+_SUITE_TABLE = {
+    "relations": lambda d, ctx, rep, seed: suite_relations(d, ctx, rep),
+    "idempotents": lambda d, ctx, rep, seed: suite_idempotents(d, ctx, rep),
+    "reduction": lambda d, ctx, rep, seed: suite_reduction(d, ctx, rep),
+    "basis": suite_basis,
+    "oracle": suite_oracle,
+    "lusztig": lambda d, ctx, rep, seed: suite_lusztig(d, ctx, rep),
+}
+SUITES = tuple(_SUITE_TABLE)
 
 
 def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> dict:
@@ -620,22 +603,7 @@ def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> 
         rep = _build_rep(d, fault)
     except Exception as exc:  # a wrong oracle is a failed check, not a crash
         return oracle._report(d, name, [_crashed("oracle-build", exc)])
-    if name == "relations":
-        checks = suite_relations(d, ctx, rep)
-    elif name == "idempotents":
-        checks = suite_idempotents(d, ctx, rep)
-    elif name == "reduction":
-        checks = suite_reduction(d, ctx, rep)
-    elif name == "basis":
-        checks = suite_basis(d, ctx, rep, seed)
-    elif name == "oracle":
-        checks = suite_oracle(d, ctx, rep, seed)
-    else:
-        try:
-            checks = oracle.verify_lusztig_identities(rep)["checks"]
-        except Exception as exc:
-            checks = [_crashed("lusztig-identities", exc)]
-    return oracle._report(d, name, checks)
+    return oracle._report(d, name, _SUITE_TABLE[name](d, ctx, rep, seed))
 
 
 def run_suites(

@@ -26,7 +26,6 @@ from qschur.algebra import (
     generator_element,
     identity_element,
     idempotent_element,
-    idempotent_mul,
     k_element,
     kbinom_index_set,
     monomial_element,
@@ -146,27 +145,30 @@ def test_identity_is_neutral():
             assert multiply(x, ident) == x
 
 
-def test_idempotent_mul():
+def test_idempotent_products():
+    def product(ctx, p, q):
+        return multiply(idempotent_element(ctx, *p), idempotent_element(ctx, *q))
+
     ctx2 = Context(2)
-    assert idempotent_mul(ctx2, (1, 1), (1, 1)) == idempotent_element(ctx2, 1, 1)
+    assert product(ctx2, (1, 1), (1, 1)) == idempotent_element(ctx2, 1, 1)
     ctx1 = Context(1)
-    assert idempotent_mul(ctx1, (1, 0), (0, 1)).is_zero
+    assert product(ctx1, (1, 0), (0, 1)).is_zero
     ctx0 = Context(0)
-    assert idempotent_mul(ctx0, (0, 0), (0, 0)) == idempotent_element(ctx0, 0, 0)
+    assert product(ctx0, (0, 0), (0, 0)) == idempotent_element(ctx0, 0, 0)
     with pytest.raises(IndexOutOfRange):
-        idempotent_mul(ctx1, (2, -1), (1, 0))
+        idempotent_element(ctx1, 2, -1)
     with pytest.raises(IndexOutOfRange):
-        idempotent_mul(ctx1, (1, 1), (1, 0))
+        idempotent_element(ctx1, 1, 1)
 
 
-def test_idempotents_agree_with_generic_multiply():
+def test_idempotents_are_orthogonal_under_multiply():
     for d in range(4):
         ctx = Context(d)
         for p in ctx.idempotents:
             for q in ctx.idempotents:
-                direct = idempotent_mul(ctx, p, q)
-                generic = multiply(idempotent_element(ctx, *p), idempotent_element(ctx, *q))
-                assert direct == generic
+                want = idempotent_element(ctx, *p) if p == q else zero_element(ctx)
+                product = multiply(idempotent_element(ctx, *p), idempotent_element(ctx, *q))
+                assert product == want
 
 
 # -- commutation rules --------------------------------------------------------
@@ -530,6 +532,26 @@ def test_change_to_kbinom_basis_raises_on_a_broken_triangle(monkeypatch):
     monkeypatch.setattr(algebra, "_kbinom_unit", lambda ctx, a, b, c: zero_element(ctx))
     with pytest.raises(RuntimeError, match="residual"):
         change_to_kbinom_basis(x)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_kbinom_unit_is_caught_by_the_closure_check(monkeypatch, d):
+    # Negating the off-diagonal terms of every in-range unit keeps the basis
+    # change unitriangular and round-trips, so only the oracle can see it.
+    assert run_suite("basis", d)["pass"]
+    healthy = algebra._kbinom_unit
+
+    def off_diagonal_negated(ctx, a, b, c):
+        unit = healthy(ctx, a, b, c)
+        if a + b + c > ctx.d:
+            return unit
+        diagonal = Monomial(a, b, ctx.d - b, c, EKF)
+        terms = {m: u if m == diagonal else -u for m, u in unit.terms.items()}
+        return Element(ctx, EKF, terms)
+
+    monkeypatch.setattr(algebra, "_kbinom_unit", off_diagonal_negated)
+    checks = {c["id"]: c["pass"] for c in run_suite("basis", d)["checks"]}
+    assert not checks["orc-kbinom-closure"]
 
 
 def test_change_from_accepts_out_of_range():

@@ -312,7 +312,7 @@ def test_span_rank_of_canonical_monomials():
 
 @pytest.mark.parametrize("d", range(3))
 def test_lusztig_identities_small(d):
-    report = verify_lusztig_identities(build_rep(d), bound=2)
+    report = verify_lusztig_identities(build_rep(d))
     assert report["pass"], [c for c in report["checks"] if not c["pass"]][:3]
 
 
