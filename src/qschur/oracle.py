@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache
 
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
@@ -402,7 +401,7 @@ def _fraction_free_rank(rows: list[dict[tuple[int, int], LaurentPoly]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Relation and identity verification
+# Relation verification
 # ---------------------------------------------------------------------------
 
 
@@ -428,6 +427,18 @@ def _check(checks: list, cid: str, lhs: LaurentMatrix, rhs: LaurentMatrix) -> No
     )
 
 
+def _minimal_poly(ident, base, roots):
+    """The product of (base - v^r) over the roots, in the ring whose unit is ident.
+
+    Serves both LaurentMatrix values and the suites' Elements: each has *, -
+    and scale.
+    """
+    acc = ident
+    for r in roots:
+        acc = acc * (base - ident.scale(LaurentPoly.v(r)))
+    return acc
+
+
 def verify_defining_relations(rep: OracleRep) -> dict:
     """Check the presentation relations as exact matrix identities."""
     checks: list[dict] = []
@@ -449,132 +460,7 @@ def verify_defining_relations(rep: OracleRep) -> dict:
     else:
         _check(checks, "ef-commutator", e * f - f * e, commutator_rhs)
     _check(checks, "k1k2-central-scalar", k1 * k2, ident.scale(v(rep.d)))
-    minpoly = ident
-    for i in range(rep.d + 1):
-        minpoly = minpoly * (k1 - ident.scale(v(i)))
+    minpoly = _minimal_poly(ident, k1, range(rep.d + 1))
     _check(checks, "k1-minimal-poly", minpoly, LaurentMatrix(rep.dim))
 
     return _report(rep.d, "defining-relations", checks)
-
-
-def verify_lusztig_identities(rep: OracleRep) -> dict:
-    """Check the standard divided-power and K-binomial identities, entrywise.
-
-    The identity families cover conjugation by K powers, K-binomials sliding
-    past e and f, commutators with divided powers, and the recursion, merge
-    and expansion rules for K-binomials.
-
-    Each power K^n, |n| <= bound, is built once, by one product from
-    K^(n-1) or K^(n+1), and each K-binomial diagonal once per key (K, c, t)
-    with K one of "K1", "K2" and "K" = K1 K2^-1.  Both memos live for one
-    call only.
-    """
-    checks: list[dict] = []
-    bound = 4  # the largest |n| of K^n, and of the K-binomial indices c and t
-    v = LaurentPoly.v
-    dim = rep.dim
-    zero = LaurentMatrix(dim)
-    e, f = rep.e, rep.f
-    kk = rep.k1 * rep.k2_inv  # the sl2-type K, diagonal
-    bases = {"K1": rep.k1, "K2": rep.k2, "K": kk}
-
-    # pows[name][n] is K^n for -bound <= n <= bound.
-    pows: dict[str, dict[int, LaurentMatrix]] = {}
-    for name, base, inv in (("K1", rep.k1, rep.k1_inv), ("K2", rep.k2, rep.k2_inv)):
-        p = {0: LaurentMatrix.identity(dim)}
-        for n in range(1, bound + 1):
-            p[n] = p[n - 1] * base
-            p[-n] = p[1 - n] * inv
-        pows[name] = p
-
-    @cache
-    def kbinom(name: str, c: int, t: int) -> LaurentMatrix:
-        return diagonal_kbinom(bases[name], c, t)
-
-    for name in ("K1", "K2"):
-        sign = 1 if name == "K1" else -1
-        for n in range(-bound, bound + 1):
-            _check(
-                checks,
-                f"conj-e-by-{name.lower()}^{n}",
-                pows[name][n] * e * pows[name][-n],
-                e.scale(v(sign * n)),
-            )
-            _check(
-                checks,
-                f"conj-f-by-{name.lower()}^{n}",
-                pows[name][n] * f * pows[name][-n],
-                f.scale(v(-sign * n)),
-            )
-
-    for name in ("K1", "K2"):
-        shift = 1 if name == "K1" else -1
-        for c in range(-bound, bound + 1):
-            for t in range(bound + 1):
-                kb = kbinom(name, c, t)
-                _check(
-                    checks,
-                    f"kbinom-shift-{name.lower()}-past-e(c={c},t={t})",
-                    kb * e,
-                    e * kbinom(name, c + shift, t),
-                )
-                _check(
-                    checks,
-                    f"kbinom-shift-{name.lower()}-past-f(c={c},t={t})",
-                    kb * f,
-                    f * kbinom(name, c - shift, t),
-                )
-
-    for m in range(bound + 1):
-        fm = matrix_of_divided_power(rep, "f", m)
-        fm1 = matrix_of_divided_power(rep, "f", m - 1) if m >= 1 else zero
-        _check(
-            checks,
-            f"e-past-divided-f(m={m})",
-            fm * e,
-            e * fm - kbinom("K", m - 1, 1) * fm1,
-        )
-        em = matrix_of_divided_power(rep, "e", m)
-        em1 = matrix_of_divided_power(rep, "e", m - 1) if m >= 1 else zero
-        _check(
-            checks,
-            f"f-past-divided-e(m={m})",
-            f * em,
-            em * f - em1 * kbinom("K", m - 1, 1),
-        )
-
-    for name in ("K1", "K2"):
-        inv = pows[name][-1]
-        for c in range(-bound, bound + 1):
-            for t in range(bound):
-                _check(
-                    checks,
-                    f"kbinom-recursion-{name.lower()}(c={c},t={t})",
-                    kbinom(name, c + 1, t + 1),
-                    kbinom(name, c, t + 1).scale(v(t + 1))
-                    + (inv * kbinom(name, c, t)).scale(v(t - c)),
-                )
-        for t in range(bound + 1):
-            for tp in range(bound + 1):
-                _check(
-                    checks,
-                    f"kbinom-merge-{name.lower()}(t={t},t'={tp})",
-                    kbinom(name, 0, t) * kbinom(name, -t, tp),
-                    kbinom(name, 0, t + tp).scale(gauss_binomial(t + tp, t)),
-                )
-        for c in range(bound + 1):
-            for t in range(bound + 1):
-                rhs = LaurentMatrix(dim)
-                for j in range(t + 1):
-                    term = (pows[name][-j] * kbinom(name, 0, t - j)).scale(
-                        gauss_binomial(c, j) * v(c * (t - j))
-                    )
-                    rhs = rhs + term
-                _check(
-                    checks,
-                    f"kbinom-expansion-{name.lower()}(c={c},t={t})",
-                    kbinom(name, c, t),
-                    rhs,
-                )
-
-    return _report(rep.d, "lusztig", checks)

@@ -1,7 +1,8 @@
 """Theorem-verification suites with machine-readable reports.
 
-Each suite checks a family of exact identities, symbolically and against the
-Weyl-module matrix representation, which is built at every degree.
+Each suite checks a family of exact identities, symbolically and, all but
+``lusztig``, against the Weyl-module matrix representation, which is built
+at every degree.
 Reports follow one schema: ``{"d", "suite", "checks": [{"id", "pass",
 "witness"?}], "pass"}``.  Every check is wrapped so that an unexpected
 exception becomes a failed check instead of a crash; the fault-injection
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from functools import cache
 from math import comb
 
 from . import algebra, oracle
@@ -104,17 +106,6 @@ def _build_rep(d: int, fault: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _minimal_poly(ident, base, roots):
-    """The product of (base - v^r) over the roots, in the ring whose unit is ident.
-
-    Serves both Elements and LaurentMatrix values: each has *, - and scale.
-    """
-    acc = ident
-    for r in roots:
-        acc = acc * (base - ident.scale(LaurentPoly.v(r)))
-    return acc
-
-
 def _omittable_root(ident, base, roots, witness: str) -> str | None:
     """None if base is killed by no product that leaves out one root, else a witness.
 
@@ -123,7 +114,7 @@ def _omittable_root(ident, base, roots, witness: str) -> str | None:
     with the first root that can be left out.
     """
     for j in roots:
-        if _minimal_poly(ident, base, [r for r in roots if r != j]).is_zero:
+        if oracle._minimal_poly(ident, base, [r for r in roots if r != j]).is_zero:
             return witness.format(j)
     return None
 
@@ -186,7 +177,7 @@ def suite_relations(d: int, ctx: Context, rep) -> list[dict]:
         _run(
             checks,
             f"sym-{name}-minimal-poly",
-            lambda k=k, roots=roots: _elements_equal(_minimal_poly(ident, k, roots), zero),
+            lambda k=k, roots=roots: _elements_equal(oracle._minimal_poly(ident, k, roots), zero),
         )
     _run(
         checks,
@@ -203,7 +194,7 @@ def suite_relations(d: int, ctx: Context, rep) -> list[dict]:
     kmat = (rep.k1 * rep.k1).scale(v(-d))
 
     def oracle_k_minimal_poly():
-        acc = _minimal_poly(ident_m, kmat, k_spectrum)
+        acc = oracle._minimal_poly(ident_m, kmat, k_spectrum)
         return None if acc.is_zero else f"nonzero entries {sorted(acc.entries)[:3]}"
 
     _run(checks, "orc-k-minimal-poly", oracle_k_minimal_poly)
@@ -566,11 +557,105 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_lusztig(d: int, ctx: Context, rep) -> list[dict]:
-    try:
-        return oracle.verify_lusztig_identities(rep)["checks"]
-    except Exception as exc:
-        return [_crashed("lusztig-identities", exc)]
+def suite_lusztig(ctx: Context) -> list[dict]:
+    """The divided-power and K-binomial identities of U_v(gl_2), on ``multiply``.
+
+    Lusztig, *Introduction to Quantum Groups*, section 3.1: conjugation by K
+    powers, K-binomials sliding past e and f, e past f^(m), and the
+    recursion, merge and expansion rules for K-binomials.  K1, K2 and
+    K = K1 K2^-1 act on K[b1,b2] by v^w with w = b1, b2 and b1 - b2, so K^n
+    is the sum of v^(n w) K[b1,b2] and [K; c, t] the sum of [w+c; t] K[b1,b2];
+    each is built once per call.
+    """
+    checks: list[dict] = []
+    bound = 4  # the largest |n| of K^n, and of the K-binomial indices c and t
+    v = LaurentPoly.v
+    zero = zero_element(ctx)
+    e, f = (algebra.generator_element(ctx, gen) for gen in ("e", "f"))
+
+    def diagonal(name, coeff):
+        i = ("K1", "K2", "K").index(name)
+        terms = {
+            algebra.Monomial(0, b1, b2, 0, EKF): coeff((b1, b2, b1 - b2)[i])
+            for b1, b2 in ctx.idempotents
+        }
+        return algebra.Element(ctx, EKF, terms)
+
+    pows = {
+        (name, n): diagonal(name, lambda w: v(n * w))
+        for name in ("K1", "K2")
+        for n in range(-bound, bound + 1)
+    }
+
+    @cache
+    def kbinom(name: str, c: int, t: int) -> algebra.Element:
+        return diagonal(name, lambda w: gauss_binomial(w + c, t))
+
+    def check(cid, sides):
+        # sides() returns the identity's two sides; it runs here, under _run,
+        # so the loop variables it reads are still current.
+        _run(checks, cid, lambda: _elements_equal(*sides()))
+
+    for name, sign in (("K1", 1), ("K2", -1)):
+        for n in range(-bound, bound + 1):
+            for gen, x, w in (("e", e, sign * n), ("f", f, -sign * n)):
+                check(
+                    f"conj-{gen}-by-{name.lower()}^{n}",
+                    lambda: (pows[name, n] * x * pows[name, -n], x.scale(v(w))),
+                )
+
+    for name, shift in (("K1", 1), ("K2", -1)):
+        for c in range(-bound, bound + 1):
+            for t in range(bound + 1):
+                for gen, x, s in (("e", e, shift), ("f", f, -shift)):
+                    check(
+                        f"kbinom-shift-{name.lower()}-past-{gen}(c={c},t={t})",
+                        lambda: (kbinom(name, c, t) * x, x * kbinom(name, c + s, t)),
+                    )
+
+    for m in range(bound + 1):
+        em, fm = (algebra.divided_power_element(ctx, gen, m) for gen in ("e", "f"))
+        em1, fm1 = (
+            algebra.divided_power_element(ctx, gen, m - 1) if m else zero for gen in ("e", "f")
+        )
+        kb = kbinom("K", m - 1, 1)
+        check(f"e-past-divided-f(m={m})", lambda: (fm * e, e * fm - kb * fm1))
+        check(f"f-past-divided-e(m={m})", lambda: (f * em, em * f - em1 * kb))
+
+    for name in ("K1", "K2"):
+        tag = name.lower()
+        for c in range(-bound, bound + 1):
+            for t in range(bound):
+                check(
+                    f"kbinom-recursion-{tag}(c={c},t={t})",
+                    lambda: (
+                        kbinom(name, c + 1, t + 1),
+                        kbinom(name, c, t + 1).scale(v(t + 1))
+                        + (pows[name, -1] * kbinom(name, c, t)).scale(v(t - c)),
+                    ),
+                )
+        for t in range(bound + 1):
+            for tp in range(bound + 1):
+                check(
+                    f"kbinom-merge-{tag}(t={t},t'={tp})",
+                    lambda: (
+                        kbinom(name, 0, t) * kbinom(name, -t, tp),
+                        kbinom(name, 0, t + tp).scale(gauss_binomial(t + tp, t)),
+                    ),
+                )
+        for c in range(bound + 1):
+            for t in range(bound + 1):
+                terms = (
+                    (pows[name, -j] * kbinom(name, 0, t - j)).scale(
+                        gauss_binomial(c, j) * v(c * (t - j))
+                    )
+                    for j in range(t + 1)
+                )
+                check(
+                    f"kbinom-expansion-{tag}(c={c},t={t})",
+                    lambda: (kbinom(name, c, t), sum(terms, zero)),
+                )
+    return checks
 
 
 # Each suite as a function of (d, ctx, rep, seed), in report order.
@@ -580,7 +665,7 @@ _SUITE_TABLE = {
     "reduction": lambda d, ctx, rep, seed: suite_reduction(d, ctx, rep),
     "basis": suite_basis,
     "oracle": suite_oracle,
-    "lusztig": lambda d, ctx, rep, seed: suite_lusztig(d, ctx, rep),
+    "lusztig": lambda d, ctx, rep, seed: suite_lusztig(ctx),
 }
 SUITES = tuple(_SUITE_TABLE)
 
@@ -588,8 +673,8 @@ SUITES = tuple(_SUITE_TABLE)
 def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> dict:
     """Run one named suite at degree d and return its report.
 
-    The suite checks against the Weyl modules, which are built at every d.
-    The ``broken-module`` fault gives e a wrong coefficient there and skips
+    The Weyl modules are built for every suite, at every d.  The
+    ``broken-module`` fault gives e a wrong coefficient there and skips
     the build's self-check; at d = 0, where e is zero, it changes nothing.
     The ``skip-reduction`` fault straightens nothing.  A build that fails
     is reported as one failed ``oracle-build`` check.

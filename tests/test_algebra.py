@@ -534,24 +534,84 @@ def test_change_to_kbinom_basis_raises_on_a_broken_triangle(monkeypatch):
         change_to_kbinom_basis(x)
 
 
+def _off_diagonal_negated(healthy):
+    """_kbinom_unit with the off-diagonal terms of every in-range unit negated."""
+
+    def unit(ctx, a, b, c):
+        out = healthy(ctx, a, b, c)
+        if a + b + c > ctx.d:
+            return out
+        diagonal = Monomial(a, b, ctx.d - b, c, EKF)
+        return Element(ctx, EKF, {m: u if m == diagonal else -u for m, u in out.terms.items()})
+
+    return unit
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_a_wrong_kbinom_unit_is_caught_by_the_closure_check(monkeypatch, d):
     # Negating the off-diagonal terms of every in-range unit keeps the basis
     # change unitriangular and round-trips, so only the oracle can see it.
     assert run_suite("basis", d)["pass"]
-    healthy = algebra._kbinom_unit
-
-    def off_diagonal_negated(ctx, a, b, c):
-        unit = healthy(ctx, a, b, c)
-        if a + b + c > ctx.d:
-            return unit
-        diagonal = Monomial(a, b, ctx.d - b, c, EKF)
-        terms = {m: u if m == diagonal else -u for m, u in unit.terms.items()}
-        return Element(ctx, EKF, terms)
-
-    monkeypatch.setattr(algebra, "_kbinom_unit", off_diagonal_negated)
+    monkeypatch.setattr(algebra, "_kbinom_unit", _off_diagonal_negated(algebra._kbinom_unit))
     checks = {c["id"]: c["pass"] for c in run_suite("basis", d)["checks"]}
     assert not checks["orc-kbinom-closure"]
+
+
+# Each row wraps one engine function and names the suites that must then fail
+# at every d = 2..4.  The fe-binomial rows fail lusztig because its identity
+# e past f^(m) needs the divided-power commutation formula.
+MUTATION_MATRIX = {
+    "none": (algebra, "_fe_binomial", lambda h: h, set()),
+    "fe-binomial-top-plus-one-at-t1": (
+        algebra,
+        "_fe_binomial",
+        lambda h: lambda c, a, weight, t: h(c + (t == 1), a, weight, t),
+        {"relations", "oracle", "lusztig"},
+    ),
+    "fe-binomial-times-v-at-t1": (
+        algebra,
+        "_fe_binomial",
+        lambda h: lambda c, a, weight, t: h(c, a, weight, t) * V(1 if t == 1 else 0),
+        {"relations", "oracle", "lusztig"},
+    ),
+    "straighten-negated-at-height-3": (
+        Context,
+        "_straighten",
+        lambda h: lambda ctx, m: -h(ctx, m) if m.a + m.c >= 3 else h(ctx, m),
+        {"reduction", "basis", "oracle", "lusztig"},
+    ),
+    "kbinom-unit-times-v-at-b2": (
+        algebra,
+        "_kbinom_unit",
+        lambda h: lambda ctx, a, b, c: h(ctx, a, b, c).scale(V(1 if b == 2 else 0)),
+        {"basis"},
+    ),
+    "fke-to-ekf-drops-a2": (
+        algebra,
+        "_fke_to_ekf",
+        lambda h: lambda x: h(
+            Element(x.ctx, x.orientation, {m: u for m, u in x.terms.items() if m.a != 2})
+        ),
+        {"oracle"},
+    ),
+    "kbinom-unit-off-diagonal-negated": (
+        algebra,
+        "_kbinom_unit",
+        _off_diagonal_negated,
+        {"basis"},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", MUTATION_MATRIX)
+def test_the_mutation_matrix(monkeypatch, row):
+    owner, name, wrap, failing = MUTATION_MATRIX[row]
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    for d in (2, 3, 4):
+        report = suites.run_suites(list(suites.SUITES), d)
+        assert len(report["checks"]) == 452
+        failed = {c["id"].split("/")[0] for c in report["checks"] if not c["pass"]}
+        assert failed == failing, (d, failed)
 
 
 def test_change_from_accepts_out_of_range():

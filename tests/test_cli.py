@@ -394,12 +394,16 @@ def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
     )
     assert code == 1
     assert out.startswith("FAIL  oracle/orc-homomorphism  [NotDivisible: ")
-    # A representation built before the fault reaches the identities, which
-    # raise on the wrong products.
+    # A representation built before the fault reaches the suite, whose
+    # projector check reports the wrong products.
     monkeypatch.setattr(oracle, "build_rep", lambda d: prebuilt)
-    code, out, _ = run(capsys, "verify", "--suite", "lusztig", "--d", "2")
+    code, out, _ = run(capsys, "verify", "--suite", "idempotents", "--d", "2")
     assert code == 1
-    assert out.startswith("FAIL  lusztig/lusztig-identities  [ValueError: ")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL  idempotents/orc-projector-partition  [projector K[1,1] is not idempotent]",
+        "FAIL  overall (4/5 checks)",
+    ]
 
 
 def test_a_failed_oracle_build_is_reported_on_one_line(capsys, monkeypatch):

@@ -33,7 +33,6 @@ from qschur.oracle import (
     oracle_equal,
     span_rank,
     verify_defining_relations,
-    verify_lusztig_identities,
 )
 from tensor_power import tensor_rep
 
@@ -170,13 +169,14 @@ def test_the_weyl_oracle_backs_every_suite_at_every_degree():
     assert {"id": "sym-associativity", "pass": True} in checks
     assert {"id": "sym-nilpotency-index", "pass": True} in checks
     # At d = 11, where the tensor power would have 2048 dimensions.
-    report = suites.run_suite("lusztig", 11)
-    assert report["pass"] and len(report["checks"]) == 398
+    report = suites.run_suite("relations", 11)
+    assert report["pass"] and len(report["checks"]) == 32
     checks = suites.run_suite("idempotents", 10)["checks"]
     assert {"id": "orc-projector-partition", "pass": True} in checks
 
 
-ORACLE_SUITES = {"relations", "reduction", "basis", "oracle", "lusztig"}
+# The suites with matrix checks; lusztig checks multiply alone.
+ORACLE_SUITES = {"relations", "reduction", "basis", "oracle"}
 
 
 def _failed_suites(report):
@@ -185,8 +185,8 @@ def _failed_suites(report):
 
 @pytest.mark.parametrize("d", range(5))
 def test_the_broken_module_fails_every_suite_that_meets_e(d):
-    # The short e fails every suite but idempotents, which never uses e; at
-    # d = 0, where e is zero, the fault changes nothing.
+    # The short e fails every suite with matrix checks but idempotents, which
+    # never uses e; at d = 0, where e is zero, the fault changes nothing.
     report = suites.run_suites(list(suites.SUITES), d, fault="broken-module")
     assert len(report["checks"]) == 452
     assert _failed_suites(report) == (ORACLE_SUITES if d else set())
@@ -307,13 +307,7 @@ def test_span_rank_of_canonical_monomials():
         assert span_rank(mats) == expected
 
 
-# -- identity families ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("d", range(3))
-def test_lusztig_identities_small(d):
-    report = verify_lusztig_identities(build_rep(d))
-    assert report["pass"], [c for c in report["checks"] if not c["pass"]][:3]
+# -- K-binomials, products and projectors -------------------------------------
 
 
 def test_diagonal_kbinom_matches_scalar():
@@ -362,7 +356,7 @@ def test_idempotent_projector_is_cached_per_representation():
     assert idempotent_projector(other, 1, 1) == first
 
 
-# -- the word memo and the lusztig suite's memos ----------------------------
+# -- the word memo ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -394,47 +388,6 @@ def test_a_wrong_cached_word_is_caught_by_the_oracle():
         checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
         assert checks["orc-homomorphism"] is False, key
         rep._dp_cache[key] = word
-
-
-def test_lusztig_builds_each_kbinom_once(monkeypatch):
-    calls = []
-    healthy = oracle.diagonal_kbinom
-
-    def counted(matrix, c, t):
-        calls.append((tuple(matrix.diagonal_exponents()), c, t))
-        return healthy(matrix, c, t)
-
-    rep = build_rep(6)
-    monkeypatch.setattr(oracle, "diagonal_kbinom", counted)
-    assert verify_lusztig_identities(rep)["pass"]
-    assert len(set(calls)) == len(calls) == 123
-
-
-def test_a_wrong_kbinom_fails_every_check_that_uses_it(monkeypatch):
-    # [K1; -3, 2] plus the identity.  It is built once, and each of the eight
-    # checks below reads it once, on one side only, where the identity it
-    # adds survives: so each must fail, not only the first to read it.
-    rep = build_rep(6)
-    healthy = oracle.diagonal_kbinom
-
-    def wrong(matrix, c, t):
-        out = healthy(matrix, c, t)
-        if matrix is rep.k1 and (c, t) == (-3, 2):
-            out = out + LaurentMatrix.identity(rep.dim)
-        return out
-
-    monkeypatch.setattr(oracle, "diagonal_kbinom", wrong)
-    failed = {c["id"] for c in verify_lusztig_identities(rep)["checks"] if not c["pass"]}
-    assert failed == {
-        "kbinom-shift-k1-past-e(c=-3,t=2)",
-        "kbinom-shift-k1-past-e(c=-4,t=2)",
-        "kbinom-shift-k1-past-f(c=-3,t=2)",
-        "kbinom-shift-k1-past-f(c=-2,t=2)",
-        "kbinom-recursion-k1(c=-4,t=1)",
-        "kbinom-recursion-k1(c=-3,t=1)",
-        "kbinom-recursion-k1(c=-3,t=2)",
-        "kbinom-merge-k1(t=3,t'=2)",
-    }
 
 
 # -- matrix_of_element as an algebra map ------------------------------------
