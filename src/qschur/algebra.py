@@ -15,8 +15,8 @@ the algebra automorphism that swaps e with f and K1 with K2.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from itertools import takewhile
 
 from .laurent import LaurentPoly, gauss_binomial
@@ -35,21 +35,18 @@ class ContextMismatch(ValueError):
     """Operands live in different contexts or bases."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "a b1 b2 c orientation", defaults=(EKF,))):
     """A monomial e^(a) K[b1,b2] f^(c), or f^(a) K[b1,b2] e^(c) for FKE.
 
     It sits between two idempotents: ``left`` and ``right`` are the K1
     indices of the idempotents K[left, d-left] and K[right, d-right] with
     K[left, d-left] * m = m = m * K[right, d-right].  Since the idempotents
     are orthogonal, m * n is zero unless ``m.right == n.left``.
+
+    A named tuple: it equals and hashes as ``(a, b1, b2, c, orientation)``.
     """
 
-    a: int
-    b1: int
-    b2: int
-    c: int
-    orientation: str = EKF
+    __slots__ = ()
 
     @property
     def left(self) -> int:
@@ -355,21 +352,26 @@ def generator_element(ctx: Context, gen: str, orientation: str = EKF) -> Element
 # ---------------------------------------------------------------------------
 
 
+def _checked_monomial(ctx: Context, quad: tuple[int, int, int, int], orientation: str) -> Monomial:
+    """The monomial of a quadruple whose orientation, exponents and idempotent pair are valid."""
+    a, b1, b2, c = quad
+    _check_orientation(orientation)
+    if a < 0 or c < 0:
+        raise IndexOutOfRange(f"divided-power exponents must be nonnegative: ({a},{c})")
+    ctx.check_pair(b1, b2)
+    return Monomial(a, b1, b2, c, orientation)
+
+
 def reduction_defect(ctx: Context, quad: tuple[int, int, int, int], orientation: str = EKF) -> int:
     """The amount s by which a monomial's fake degree exceeds d."""
-    return Monomial(*quad, orientation).fake_degree - ctx.d
+    return _checked_monomial(ctx, quad, orientation).fake_degree - ctx.d
 
 
 def reduce_monomial(
     ctx: Context, quad: tuple[int, int, int, int], orientation: str = EKF
 ) -> Element:
     """A monomial in the canonical basis: itself if canonical, else :meth:`Context._straighten`."""
-    a, b1, b2, c = quad
-    _check_orientation(orientation)
-    if a < 0 or c < 0:
-        raise IndexOutOfRange(f"divided-power exponents must be nonnegative: ({a},{c})")
-    ctx.check_pair(b1, b2)
-    mono = Monomial(a, b1, b2, c, orientation)
+    mono = _checked_monomial(ctx, quad, orientation)
     if ctx.is_canonical(mono):
         return Element._raw(ctx, orientation, {mono: LaurentPoly.one()})
     return ctx._straighten(mono)

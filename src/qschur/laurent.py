@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -246,6 +245,8 @@ class LaurentPoly:
 
     def evaluate(self, t: int | Fraction) -> Fraction:
         """Substitute v := t exactly.  t must be nonzero."""
+        from fractions import Fraction
+
         t = Fraction(t)
         if t == 0:
             raise EvalAtZero("cannot evaluate a Laurent polynomial at v = 0")

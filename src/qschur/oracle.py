@@ -15,7 +15,6 @@ matrices with exact arithmetic.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
 from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
@@ -139,7 +138,6 @@ class LaurentMatrix:
         return out
 
 
-@dataclass
 class OracleRep:
     """Exact generator matrices of one degree-d representation.
 
@@ -158,14 +156,10 @@ class OracleRep:
     treat them and their ``entries`` as read-only.
     """
 
-    d: int
-    e: LaurentMatrix
-    f: LaurentMatrix
-    k1: LaurentMatrix
-    k1_inv: LaurentMatrix
-    k2: LaurentMatrix
-    k2_inv: LaurentMatrix
-    _dp_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, d, e, f, k1, k1_inv, k2, k2_inv):
+        self.d, self.e, self.f = d, e, f
+        self.k1, self.k1_inv, self.k2, self.k2_inv = k1, k1_inv, k2, k2_inv
+        self._dp_cache: dict = {}
 
     @property
     def dim(self) -> int:

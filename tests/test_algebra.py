@@ -243,11 +243,46 @@ def test_reduce_always_emits_canonical_terms():
 
 
 def test_reduce_validates_input():
-    ctx = Context(1)
-    with pytest.raises(IndexOutOfRange):
-        reduce_monomial(ctx, (1, 1, 1, 0))
-    with pytest.raises(IndexOutOfRange):
-        reduce_monomial(ctx, (-1, 0, 1, 0))
+    # reduction_defect checks its input as reduce_monomial does, with the same messages.
+    ctx = Context(2)
+    bad = {
+        (1, 5, 1, 1): r"idempotent indices \(5,1\) must be nonnegative with sum 2",
+        (1, -1, 3, 1): r"idempotent indices \(-1,3\) must be nonnegative with sum 2",
+        (-1, 1, 1, 0): r"divided-power exponents must be nonnegative: \(-1,0\)",
+        (0, 1, 1, -2): r"divided-power exponents must be nonnegative: \(0,-2\)",
+    }
+    bad_orientation = "^orientation must be 'EKF' or 'FKE', got 'bogus'$"
+    for fn in (reduce_monomial, reduction_defect):
+        with pytest.raises(ValueError, match=bad_orientation) as exc:
+            fn(ctx, (1, 1, 1, 1), "bogus")
+        assert exc.type is ValueError
+        for quad, message in bad.items():
+            for orientation in (EKF, FKE):
+                with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+                    fn(ctx, quad, orientation)
+
+
+@pytest.mark.parametrize("orientation", [EKF, FKE])
+@pytest.mark.parametrize("d", range(5))
+def test_monomial_keeps_its_frozen_record_contract(d, orientation):
+    other = FKE if orientation == EKF else EKF
+    assert Monomial(0, d, 0, 0).orientation == EKF
+    for m in Context(d).monomials(orientation):
+        a, b1, b2, c, o = m
+        assert o == orientation
+        assert repr(m) == f"Monomial(a={a}, b1={b1}, b2={b2}, c={c}, orientation={o!r})"
+        assert m == (a, b1, b2, c, o) and hash(m) == hash((a, b1, b2, c, o))
+        step = 1 if o == EKF else -1
+        assert (m.left, m.right) == (b1 + step * a, b1 + step * c)
+        assert m.fake_degree == a + (b1 if o == EKF else b2) + c
+        assert m.sort_key() == (a, b1, c)
+        swapped = m.swapped()
+        assert type(swapped) is Monomial
+        assert swapped == Monomial(a, b2, b1, c, other) and swapped.swapped() == m
+        with pytest.raises(AttributeError):
+            m.a = a + 1
+        with pytest.raises(AttributeError):
+            m.weight = b1 - b2
 
 
 # -- single-generator products --------------------------------------------------

@@ -154,9 +154,12 @@ def test_reduce_command(capsys):
 
 
 def test_reduce_invalid_quadruple(capsys):
-    code, _, err = run(capsys, "reduce", "--d", "1", "--monomial", "1,1,1,1")
-    assert code == 2
-    assert "error" in err
+    code, out, err = run(capsys, "reduce", "--d", "1", "--monomial", "1,1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: idempotent indices (1,1) must be nonnegative with sum 1\n"
+    code, out, err = run(capsys, "reduce", "--d", "1", "--monomial", "1,1,0,-1")
+    assert (code, out) == (2, "")
+    assert err == "error: divided-power exponents must be nonnegative: (1,-1)\n"
 
 
 def test_basis_command(capsys):

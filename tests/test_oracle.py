@@ -429,6 +429,20 @@ def test_product_cancelling_to_zero_stores_nothing(pair):
     assert (left * right).entries == {}
 
 
+def test_each_representation_owns_its_cache():
+    rep, other = build_rep(2), build_rep(2)
+    assert rep._dp_cache is not other._dp_cache
+    before = dict(other._dp_cache)
+    idempotent_projector(rep, 1, 1)
+    assert ("K", 1, 1) in rep._dp_cache
+    assert other._dp_cache == before
+    named = OracleRep(
+        d=2, e=rep.e, f=rep.f, k1=rep.k1, k1_inv=rep.k1_inv, k2=rep.k2, k2_inv=rep.k2_inv
+    )
+    assert (named.d, named.dim, named._dp_cache) == (2, rep.dim, {})
+    assert verify_defining_relations(named)["pass"]
+
+
 @lru_cache(maxsize=None)
 def reps_of(d: int) -> tuple[OracleRep, OracleRep]:
     return build_rep(d), tensor_rep(d)
