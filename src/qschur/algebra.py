@@ -428,20 +428,36 @@ def _add_monomial_product(
     with w = b1' - b2': the middle f^(c) e^(a') commutes by :func:`_fe_binomial`,
     and the adjacent divided powers merge.  Terms whose idempotent index would
     be negative vanish; the rest are straightened by :func:`_straightened_terms`.
+
+    [a+a'-t; a] is 1 when a = 0 or a' = t, and [c+c'-t; c'] is 1 when c' = 0
+    or c = t, so neither is computed then; nor is a product by the shared
+    unit.  ``scalar`` must be nonzero, as every coefficient of an element is.
     """
-    weight = n.b1 - n.b2
-    for t in range(max(0, m.c - n.b1), min(m.c, n.a) + 1):
-        coeff = (
-            _fe_binomial(m.c, n.a, weight, t)
-            * gauss_binomial(m.a + n.a - t, m.a)
-            * gauss_binomial(m.c + n.c - t, n.c)
-        )
+    one = LaurentPoly.one()
+    straightened = ctx._straightened
+    a, _, _, c, _ = m
+    a2, b1, b2, c2, _ = n
+    weight = b1 - b2
+    for t in range(max(0, c - b1), min(c, a2) + 1):
+        coeff = _fe_binomial(c, a2, weight, t)
         if coeff.is_zero:
             continue
-        coeff = coeff * scalar
-        a, b1, c = m.a + n.a - t, n.b1 - m.c + t, m.c + n.c - t
-        for mono, r in _straightened_terms(ctx, a, b1, c):
-            _add_term(terms, mono, r * coeff)
+        if a and a2 != t:
+            coeff = coeff * gauss_binomial(a + a2 - t, a)
+        if c2 and c != t:
+            coeff = coeff * gauss_binomial(c + c2 - t, c2)
+        if scalar is not one:
+            coeff = coeff * scalar
+        key = (a + a2 - t, b1 - c + t, c + c2 - t)
+        reduced = straightened.get(key)
+        if reduced is None:
+            reduced = _straightened_terms(ctx, *key)
+        for mono, r in reduced:
+            r = coeff if r is one else r * coeff
+            if mono in terms:
+                _add_term(terms, mono, r)
+            else:
+                terms[mono] = r
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -449,7 +465,8 @@ def multiply(x: Element, y: Element) -> Element:
 
     A pair of EKF monomials m, n multiplies to zero unless
     ``m.right == n.left`` (b1 + c = b1' + a'), since the idempotents are
-    orthogonal; no binomial is computed for such a pair.
+    orthogonal; y's terms are filed by ``left`` once, so such a pair is never
+    visited and no binomial is computed for it.
     """
     x._require_compatible(y)
     if x.orientation == FKE:
@@ -457,11 +474,13 @@ def multiply(x: Element, y: Element) -> Element:
         ey = _relabel(y, EKF)
         return _relabel(multiply(ex, ey), FKE)
 
+    starting_at: dict[int, list[tuple[Monomial, LaurentPoly]]] = {}
+    for n, w in y.terms.items():
+        starting_at.setdefault(n.left, []).append((n, w))
     terms: dict[Monomial, LaurentPoly] = {}
     for m, u in x.terms.items():
-        for n, w in y.terms.items():
-            if m.right == n.left:
-                _add_monomial_product(x.ctx, m, n, u * w, terms)
+        for n, w in starting_at.get(m.right, ()):
+            _add_monomial_product(x.ctx, m, n, u * w, terms)
     return Element._raw(x.ctx, EKF, terms)
 
 

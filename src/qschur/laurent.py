@@ -56,7 +56,8 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> LaurentPoly:
-        return LaurentPoly({0: 1})
+        """The unit 1: one shared value, as no operation changes a polynomial in place."""
+        return _ONE
 
     @staticmethod
     def v(exp: int = 1) -> LaurentPoly:
@@ -159,11 +160,16 @@ class LaurentPoly:
         Multiplying by s*v^k needs no convolution: the other factor's
         exponents move by k and its coefficients scale by s.  A factor equal
         to 1 returns the other factor itself, not a copy, which is safe
-        because no operation changes a polynomial in place.
+        because no operation changes a polynomial in place; the shared unit
+        :meth:`one` is recognised before anything else is looked at.
 
         >>> (LaurentPoly.v(2) + 3) * LaurentPoly({-1: -2})
         LaurentPoly('-2v - 6v^-1')
         """
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return LaurentPoly.coerce(other)
         x, y = self, LaurentPoly.coerce(other)
         if len(x._terms) == 1:
             x, y = y, x
@@ -309,6 +315,9 @@ class LaurentPoly:
         return LaurentPoly(terms)
 
 
+# The unit LaurentPoly.one() returns; products test for it by identity.
+_ONE = LaurentPoly({0: 1})
+
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -395,8 +404,8 @@ def gauss_binomial(r: int, s: int) -> LaurentPoly:
     """
     if s < 0:
         return LaurentPoly.zero()
-    if s == 0:
-        return LaurentPoly.one()
+    if s == 0 or s == r:
+        return _ONE
     num = LaurentPoly.one()
     for i in range(s):
         num = num * quantum_int(r - i)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qschur import suites
+from qschur import cli, suites
 from qschur.laurent import (
     DivisionByZero,
     EvalAtZero,
@@ -37,10 +37,12 @@ polys = st.dictionaries(
     st.integers(-6, 6), st.integers(-9, 9), max_size=5
 ).map(LaurentPoly)
 
-# Factors that take the one-term shortcut of LaurentPoly.__mul__ (1, s*v^k)
-# mixed with the zero polynomial and general sparse polynomials.
+# Factors that take the one-term shortcut of LaurentPoly.__mul__ (the shared
+# unit, a unit of its own, s*v^k) mixed with the zero polynomial and general
+# sparse polynomials.
 factors = st.one_of(
     st.just(LaurentPoly.one()),
+    st.builds(LaurentPoly, st.just({0: 1})),
     st.just(LaurentPoly.zero()),
     st.builds(
         lambda s, k: LaurentPoly({k: s}), st.sampled_from([-2, -1, 1, 2]), st.integers(-6, 6)
@@ -137,6 +139,25 @@ def test_products_match_a_reference_convolution(x, y):
         assert product._terms == want
         assert 0 not in product._terms.values()
     assert (term_map(x), term_map(y)) == before
+
+
+def test_the_shared_unit_is_never_changed(tmp_path):
+    # Products return the shared unit's partner itself, and gauss_binomial
+    # and straightening hand the unit out, so nothing may write into it.
+    one = LaurentPoly.one()
+    assert one is LaurentPoly.one()
+    suites.run_suites(list(suites.SUITES), 3)
+    assert cli.main(["table", "--d", "4", "--out", str(tmp_path / "table.jsonl")]) == 0
+    assert one._terms == {0: 1}
+    assert hash(one) == hash(1)
+
+
+@given(factors)
+def test_a_unit_of_its_own_multiplies_as_the_shared_one(x):
+    fresh = LaurentPoly({0: 1})
+    assert fresh is not LaurentPoly.one()
+    assert x * fresh == x * LaurentPoly.one() == x
+    assert fresh * x == LaurentPoly.one() * x == x
 
 
 def test_a_dropped_monomial_shift_is_caught_by_the_suites(monkeypatch):
