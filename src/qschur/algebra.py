@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import takewhile
 
-from .laurent import LaurentPoly, gauss_binomial
+from .laurent import LaurentPoly, _add_term, gauss_binomial
 
 EKF = "EKF"
 FKE = "FKE"
@@ -158,16 +158,6 @@ class Context:
 def _check_orientation(orientation: str) -> None:
     if orientation not in (EKF, FKE):
         raise ValueError(f"orientation must be {EKF!r} or {FKE!r}, got {orientation!r}")
-
-
-def _add_term(terms: dict[Monomial, LaurentPoly], m: Monomial, coeff: LaurentPoly) -> None:
-    """terms[m] += coeff, keeping no zero coefficients."""
-    prev = terms.get(m)
-    coeff = coeff if prev is None else prev + coeff
-    if coeff.is_zero:
-        terms.pop(m, None)
-    else:
-        terms[m] = coeff
 
 
 class Element:
@@ -377,13 +367,6 @@ def reduce_monomial(
     return ctx._straighten(mono)
 
 
-def monomial_element(
-    ctx: Context, quad: tuple[int, int, int, int], orientation: str = EKF
-) -> Element:
-    """Ingest a quadruple as an element, straightening if needed."""
-    return reduce_monomial(ctx, quad, orientation)
-
-
 # ---------------------------------------------------------------------------
 # Multiplication
 # ---------------------------------------------------------------------------
@@ -505,7 +488,7 @@ def anti_involution(x: Element) -> Element:
     anti_involution(x))).
 
     >>> ctx = Context(2)
-    >>> anti_involution(monomial_element(ctx, (1, 1, 1, 0)))
+    >>> anti_involution(reduce_monomial(ctx, (1, 1, 1, 0)))
     Element(d=2, EKF, 'K[1,1] f^(1)')
     """
     return Element._raw(
@@ -618,11 +601,7 @@ def change_to_kbinom_basis(x: Element) -> dict[tuple[int, int, int], LaurentPoly
             continue
         out[(a, b, c)] = coeff
         for m, u in _kbinom_unit(ctx, a, b, c).terms.items():
-            n = residual.get(m, LaurentPoly.zero()) - u * coeff
-            if n.is_zero:
-                residual.pop(m, None)
-            else:
-                residual[m] = n
+            _add_term(residual, m, -(u * coeff))
     if residual:
         raise RuntimeError("peeling left a nonzero residual; triangularity is broken")
     return out

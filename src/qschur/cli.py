@@ -107,8 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="list the canonical basis monomials")
     common(p)
 
+    # table always writes JSON lines, so it takes no --format.
     p = sub.add_parser("table", help="emit all structure constants as JSON lines")
-    common(p, orientation=False)
+    p.add_argument("--d", type=int, required=True, help="degree d >= 0")
+    p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--max-d-override", action="store_true")
 
     p = sub.add_parser("verify", help="run theorem-verification suites")

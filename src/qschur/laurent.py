@@ -30,8 +30,8 @@ class EvalAtZero(ZeroDivisionError):
 class LaurentPoly:
     """An element of Z[v, v^-1].
 
-    >>> v = LaurentPoly.v()
-    >>> (v + v**-1) * (v - v**-1)
+    >>> v, w = LaurentPoly.v(), LaurentPoly.v(-1)
+    >>> (v + w) * (v - w)
     LaurentPoly('v^2 - v^-2')
     >>> quantum_int(4).exact_div(quantum_int(2))
     LaurentPoly('v^2 + v^-2')
@@ -151,9 +151,6 @@ class LaurentPoly:
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         return self + (-LaurentPoly.coerce(other))
 
-    def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return LaurentPoly.coerce(other) + (-self)
-
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         """The product; a one-term factor s*v^k shifts and scales the other one.
 
@@ -194,22 +191,6 @@ class LaurentPoly:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            if len(self._terms) == 1:
-                ((e, c),) = self._terms.items()
-                if c in (1, -1):
-                    return LaurentPoly({-e: c}) ** (-n)
-            raise ValueError("only unit monomials have negative powers")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_div(self, other: int | LaurentPoly) -> LaurentPoly:
         """Return q with q * other == self, or raise NotDivisible.
@@ -324,6 +305,16 @@ _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 def _is_int(value) -> bool:
     """True for a JSON integer; bools and floats are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _add_term(terms: dict, key, coeff: LaurentPoly) -> None:
+    """terms[key] += coeff, keeping no zero coefficients."""
+    prev = terms.get(key)
+    coeff = coeff if prev is None else prev + coeff
+    if coeff.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = coeff
 
 
 def parse_laurent(text: str) -> LaurentPoly:

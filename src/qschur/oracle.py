@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
-from .laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
+from .laurent import LaurentPoly, NotDivisible, _add_term, gauss_binomial, quantum_int
 
 
 class CoproductCheckFailed(RuntimeError):
@@ -74,12 +74,7 @@ class LaurentMatrix:
     def __add__(self, other: LaurentMatrix) -> LaurentMatrix:
         entries = dict(self.entries)
         for k, val in other.entries.items():
-            n = entries.get(k)
-            n = val if n is None else n + val
-            if n.is_zero:
-                entries.pop(k, None)
-            else:
-                entries[k] = n
+            _add_term(entries, k, val)
         return LaurentMatrix._raw(self.dim, entries)
 
     def __neg__(self) -> LaurentMatrix:
@@ -106,14 +101,7 @@ class LaurentMatrix:
             if not row:
                 continue
             for c, b in row.items():
-                key = (r, c)
-                n = acc.get(key)
-                p = a * b
-                n = p if n is None else n + p
-                if n.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = n
+                _add_term(acc, (r, c), a * b)
         return LaurentMatrix._raw(self.dim, acc)
 
     def transpose(self) -> LaurentMatrix:
@@ -282,9 +270,8 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
             )
             rep._dp_cache[key] = word
         for cell, val in word.entries.items():
-            n = acc.get(cell)
-            acc[cell] = val * coeff if n is None else n + val * coeff
-    return LaurentMatrix._raw(rep.dim, {k: v for k, v in acc.items() if v})
+            _add_term(acc, cell, val * coeff)
+    return LaurentMatrix._raw(rep.dim, acc)
 
 
 def contravariant_form(rep: OracleRep) -> LaurentMatrix:
@@ -315,11 +302,6 @@ def contravariant_form(rep: OracleRep) -> LaurentMatrix:
             raise ValueError("the contravariant form has a zero entry")
         rep._dp_cache[("form",)] = form
     return form
-
-
-def oracle_equal(rep: OracleRep, x: Element, y: Element) -> bool:
-    """Entrywise equality of the two elements' matrices."""
-    return matrix_of_element(rep, x) == matrix_of_element(rep, y)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,13 @@ def _factor_text(quad: dict) -> str:
     return " ".join(parts)
 
 
+def test_table_takes_no_format_option(capsys):
+    # table always writes JSON lines; --format is a usage error, not ignored.
+    code, out, err = run(capsys, "table", "--d", "0", "--format", "text")
+    assert (code, out) == (2, "")
+    assert "--format" in err
+
+
 def test_table_guard(capsys):
     code, _, err = run(capsys, "table", "--d", "7")
     assert code == 2

@@ -18,7 +18,9 @@ def test_import_loads_no_unused_stdlib_chain():
         "value = qschur.LaurentPoly.v(-1).evaluate(2)\n"
         "print(type(value).__module__, type(value).__name__, value)\n"
     )
+    # -E also drops PYTHONDONTWRITEBYTECODE, so -B keeps the child from
+    # writing src/qschur/__pycache__.
     run = subprocess.run(
-        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-B", "-E", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert run.stdout.splitlines() == ["[]", "fractions Fraction 1/2"]
