@@ -278,14 +278,18 @@ def zero_element(ctx: Context, orientation: str = EKF) -> Element:
     return Element(ctx, orientation)
 
 
-def identity_element(ctx: Context, orientation: str = EKF) -> Element:
-    """The sum of all idempotents K[b1,b2] with b1 + b2 = d."""
-    one = LaurentPoly.one()
+def _diagonal_element(ctx: Context, coeff, orientation: str = EKF) -> Element:
+    """The degree-zero element: the sum of coeff(b1, b2) * K[b1,b2] over the idempotents."""
     return Element(
         ctx,
         orientation,
-        {Monomial(0, b1, b2, 0, orientation): one for b1, b2 in ctx.idempotents},
+        {Monomial(0, b1, b2, 0, orientation): coeff(b1, b2) for b1, b2 in ctx.idempotents},
     )
+
+
+def identity_element(ctx: Context, orientation: str = EKF) -> Element:
+    """The sum of all idempotents K[b1,b2] with b1 + b2 = d."""
+    return _diagonal_element(ctx, lambda b1, b2: LaurentPoly.one(), orientation)
 
 
 def idempotent_element(ctx: Context, b1: int, b2: int, orientation: str = EKF) -> Element:
@@ -310,14 +314,7 @@ def k_element(ctx: Context, which: str, orientation: str = EKF) -> Element:
     if which not in exponent:
         raise ValueError(f"unknown K-type element {which!r}")
     fn = exponent[which]
-    return Element(
-        ctx,
-        orientation,
-        {
-            Monomial(0, b1, b2, 0, orientation): LaurentPoly.v(fn(b1, b2))
-            for b1, b2 in ctx.idempotents
-        },
-    )
+    return _diagonal_element(ctx, lambda b1, b2: LaurentPoly.v(fn(b1, b2)), orientation)
 
 
 def divided_power_element(ctx: Context, gen: str, m: int, orientation: str = EKF) -> Element:

@@ -183,17 +183,18 @@ def cmd_basis(args) -> int:
     return 0
 
 
+def _check_guard(args, guard: int, subject: str, warning: str) -> None:
+    """Refuse a degree above ``guard`` without --max-d-override; with it, warn."""
+    if args.d <= guard:
+        return
+    if not args.max_d_override:
+        raise UsageError(f"{subject} guarded at d <= {guard}; pass --max-d-override to force")
+    print(f"warning: {warning}", file=sys.stderr)
+
+
 def cmd_table(args) -> int:
-    if args.d > TABLE_MAX_D and not args.max_d_override:
-        raise UsageError(
-            f"structure-constant tables are guarded at d <= {TABLE_MAX_D}; "
-            "pass --max-d-override to force"
-        )
-    if args.d > TABLE_MAX_D:
-        print(
-            f"warning: d={args.d} exceeds the table guard; this may take a while",
-            file=sys.stderr,
-        )
+    warning = f"d={args.d} exceeds the table guard; this may take a while"
+    _check_guard(args, TABLE_MAX_D, "structure-constant tables are", warning)
     ctx = Context(args.d)
     one = LaurentPoly.one()
     basis = ctx.monomials(EKF)
@@ -243,15 +244,8 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         guard = SUITE_GUARDS[name]
-        if args.d > guard and not args.max_d_override:
-            raise UsageError(
-                f"suite {name!r} is guarded at d <= {guard}; pass --max-d-override to force"
-            )
-        if args.d > guard:
-            print(
-                f"warning: suite {name!r} at d={args.d} exceeds its guard {guard}",
-                file=sys.stderr,
-            )
+        warning = f"suite {name!r} at d={args.d} exceeds its guard {guard}"
+        _check_guard(args, guard, f"suite {name!r} is", warning)
     report = run_suites(names, args.d, seed=args.seed, fault=args.inject_fault)
     if args.format == "json":
         _emit(json.dumps(report), args.out)

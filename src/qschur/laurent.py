@@ -206,9 +206,10 @@ class LaurentPoly:
             return LaurentPoly.zero()
         # Shift both operands into Z[v]; v is a unit, so divisibility is
         # unaffected and the quotient shifts back by the valuation gap.
-        shift = self.valuation() - other.valuation()
-        rem = {e - self.valuation(): c for e, c in self._terms.items()}
-        den = {e - other.valuation(): c for e, c in other._terms.items()}
+        low, den_low = self.valuation(), other.valuation()
+        shift = low - den_low
+        rem = {e - low: c for e, c in self._terms.items()}
+        den = {e - den_low: c for e, c in other._terms.items()}
         den_deg = max(den)
         den_lead = den[den_deg]
         quot: dict[int, int] = {}

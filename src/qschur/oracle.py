@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .algebra import GENERATOR_ORDER, ContextMismatch, Element
+from .algebra import GENERATOR_ORDER, ContextMismatch, Element, Monomial
 from .laurent import LaurentPoly, NotDivisible, _add_term, gauss_binomial, quantum_int
 
 
@@ -134,10 +134,9 @@ class OracleRep:
 
     Immutable after construction apart from one cache, ``_dp_cache``: it
     holds the divided powers keyed by (gen, m), the idempotent projectors
-    keyed by ("K", b1, b2), the basis words outer^(a) K[b1,b2] inner^(c)
+    keyed by ("K", b1, b2), and the basis words outer^(a) K[b1,b2] inner^(c)
     that :func:`matrix_of_element` has evaluated, keyed by
-    ("word", monomial), and the :func:`contravariant_form`, keyed by
-    ("form",).  Each entry is a pure function of its key, so a
+    ("word", monomial).  Each entry is a pure function of its key, so a
     concurrent duplicate fill is benign.
 
     Matrices handed out by this module, cached ones included, are shared:
@@ -251,24 +250,29 @@ def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
     return proj
 
 
+def _word_matrix(rep: OracleRep, m: Monomial) -> LaurentMatrix:
+    """The matrix of m's word outer^(a) K[b1,b2] inner^(c), canonical or not;
+    outer, inner are e, f for EKF and f, e for FKE."""
+    outer, inner = GENERATOR_ORDER[m.orientation]
+    return (
+        matrix_of_divided_power(rep, outer, m.a)
+        * idempotent_projector(rep, m.b1, m.b2)
+        * matrix_of_divided_power(rep, inner, m.c)
+    )
+
+
 def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
     """Evaluate a symbolic element to its matrix: the sum over its terms of
     coeff * outer^(a) K[b1,b2] inner^(c)."""
     if x.ctx.d != rep.d:
         raise ContextMismatch(f"element degree {x.ctx.d} differs from oracle degree {rep.d}")
-    outer, inner = GENERATOR_ORDER[x.orientation]
     acc: dict[tuple[int, int], LaurentPoly] = {}
     for m, coeff in x.terms.items():
         # The monomial carries its orientation, so it alone keys its word.
         key = ("word", m)
         word = rep._dp_cache.get(key)
         if word is None:
-            word = (
-                matrix_of_divided_power(rep, outer, m.a)
-                * idempotent_projector(rep, m.b1, m.b2)
-                * matrix_of_divided_power(rep, inner, m.c)
-            )
-            rep._dp_cache[key] = word
+            word = rep._dp_cache[key] = _word_matrix(rep, m)
         for cell, val in word.entries.items():
             _add_term(acc, cell, val * coeff)
     return LaurentMatrix._raw(rep.dim, acc)
@@ -288,19 +292,16 @@ def contravariant_form(rep: OracleRep) -> LaurentMatrix:
     >>> [str(form.entries[i, i]) for i in range(form.dim)]
     ['1', 'v + v^-1', '1', '1']
     """
-    form = rep._dp_cache.get(("form",))
-    if form is None:
-        values = [LaurentPoly.one()] * rep.dim
-        reached = set()
-        for (r, c), val in sorted(rep.f.entries.items(), key=lambda kv: kv[0][::-1]):
-            if r not in reached:
-                reached.add(r)
-                up = rep.e.entries.get((c, r), LaurentPoly.zero())
-                values[r] = (values[c] * up).exact_div(val)
-        form = LaurentMatrix.diagonal(values)
-        if len(form.entries) != rep.dim:
-            raise ValueError("the contravariant form has a zero entry")
-        rep._dp_cache[("form",)] = form
+    values = [LaurentPoly.one()] * rep.dim
+    reached = set()
+    for (r, c), val in sorted(rep.f.entries.items(), key=lambda kv: kv[0][::-1]):
+        if r not in reached:
+            reached.add(r)
+            up = rep.e.entries.get((c, r), LaurentPoly.zero())
+            values[r] = (values[c] * up).exact_div(val)
+    form = LaurentMatrix.diagonal(values)
+    if len(form.entries) != rep.dim:
+        raise ValueError("the contravariant form has a zero entry")
     return form
 
 

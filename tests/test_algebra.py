@@ -628,6 +628,11 @@ def test_change_basis_unitriangular():
                 assert position[(m.a, m.b1, m.c)] >= i
 
 
+def test_change_to_kbinom_basis_needs_the_ekf_basis():
+    with pytest.raises(ContextMismatch, match="EKF"):
+        change_to_kbinom_basis(identity_element(Context(2), FKE))
+
+
 def test_change_to_kbinom_basis_raises_on_a_broken_triangle(monkeypatch):
     ctx = Context(2)
     x = unit(ctx, 1, 0, 1)
@@ -772,6 +777,13 @@ def test_convert_orientation_example():
     x = reduce_monomial(ctx, (1, 1, 0, 1), FKE)
     assert x == Element(ctx, FKE, {Monomial(0, 0, 1, 0, FKE): ONE})
     assert convert_orientation(x, EKF) == unit(ctx, 0, 0, 0)
+
+
+def test_convert_orientation_to_its_own_orientation_returns_the_element():
+    ctx = Context(2)
+    for orientation in (EKF, FKE):
+        x = identity_element(ctx, orientation)
+        assert convert_orientation(x, orientation) is x
 
 
 def test_convert_orientation_round_trip():

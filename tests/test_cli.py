@@ -153,6 +153,44 @@ def test_reduce_command(capsys):
     assert "result: 0" in out and "(empty)" in out
 
 
+def test_reduce_json_output(capsys):
+    code, out, _ = run(capsys, "reduce", "--d", "2", "--monomial", "1,1,1,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "element": {
+            "d": 2,
+            "orientation": "EKF",
+            "terms": [{"a": 0, "b1": 2, "b2": 0, "c": 0, "coeff": [[-1, "1"], [1, "1"]]}],
+        },
+        "s": 1,
+        "k_min": 1,
+        "k_max": 1,
+    }
+    # A canonical monomial is returned as it is, with no k range.
+    code, out, _ = run(capsys, "reduce", "--d", "3", "--monomial", "0,2,1,0", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["element"]["terms"] == [{"a": 0, "b1": 2, "b2": 1, "c": 0, "coeff": [[0, "1"]]}]
+    assert (data["s"], data["k_min"], data["k_max"]) == (-1, None, None)
+
+
+@pytest.mark.parametrize(
+    "lhs, message",
+    [
+        ("(v) K[1,0]", "expected '*' after coefficient"),
+        ("K[1,0] g^(1)", "expected a factor like e^(1), K[0,1] or f^(1)"),
+        ("K[1,0] K[1,0]", "duplicate K factor"),
+        ("   ", "empty element text"),
+        ("K[1,0])", "unbalanced parenthesis"),
+    ],
+    ids=["no-star", "bad-factor", "duplicate-k", "empty", "stray-close"],
+)
+def test_element_text_errors_are_usage_errors(capsys, lhs, message):
+    code, out, err = run(capsys, "multiply", "--d", "1", "--lhs", lhs, "--rhs", "K[1,0]")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message} (at position ") and err.count("\n") == 1
+
+
 def test_reduce_invalid_quadruple(capsys):
     code, out, err = run(capsys, "reduce", "--d", "1", "--monomial", "1,1,1,1")
     assert (code, out) == (2, "")
@@ -235,10 +273,18 @@ def test_table_takes_no_format_option(capsys):
     assert "--format" in err
 
 
-def test_table_guard(capsys):
+def test_table_guard(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--d", "7")
     assert code == 2
-    assert "guard" in err
+    assert err == (
+        "error: structure-constant tables are guarded at d <= 6; "
+        "pass --max-d-override to force\n"
+    )
+    # the override lifts the guard and warns
+    out = str(tmp_path / "table-7.jsonl")
+    code, _, err = run(capsys, "table", "--d", "7", "--max-d-override", "--out", out)
+    assert code == 0
+    assert err == "warning: d=7 exceeds the table guard; this may take a while\n"
 
 
 TABLE_DIGESTS = {
@@ -315,7 +361,9 @@ def test_verify_json_report(capsys):
 def test_verify_guard_and_override(capsys):
     code, _, err = run(capsys, "verify", "--d", "7", "--suite", "relations")
     assert code == 2
-    assert "guard" in err
+    assert err == (
+        "error: suite 'relations' is guarded at d <= 6; pass --max-d-override to force\n"
+    )
     # the override lifts the guard and warns; the oracle runs past d = 6
     code, out, err = run(
         capsys, "verify", "--d", "7", "--suite", "relations", "--max-d-override"

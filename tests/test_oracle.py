@@ -104,6 +104,30 @@ def test_conventions():
         build_rep(3, convention="weyl")
 
 
+def test_every_suite_takes_one_argument_list():
+    # run_suite calls each suite with (d, ctx, rep, seed); a suite that does
+    # not read an argument gives the same checks whatever it is.
+    ctx, rep = Context(2), build_rep(2)
+    assert tuple(suites._SUITE_TABLE) == suites.SUITES
+    for name, suite in suites._SUITE_TABLE.items():
+        assert suite is getattr(suites, f"suite_{name}")
+        want = suites.run_suite(name, 2)["checks"]
+        assert suite(2, ctx, rep) == want
+        if name not in ("basis", "oracle"):
+            assert suite(2, ctx, rep, seed=5) == want
+
+
+def test_the_word_of_a_non_canonical_monomial_is_its_plain_product():
+    # e^(1) K[1,1] f^(1) at d=2 has fake degree 3; its word is still the
+    # product, and it equals the matrix of its straightening.
+    ctx, rep = Context(2), build_rep(2)
+    m = Monomial(1, 1, 1, 1, EKF)
+    word = oracle._word_matrix(rep, m)
+    assert word == rep.e * idempotent_projector(rep, 1, 1) * rep.f
+    assert word == matrix_of_element(rep, reduce_monomial(ctx, m[:4], EKF))
+    assert ("word", m) not in rep._dp_cache
+
+
 def test_a_wrong_weyl_module_fails_every_suite(monkeypatch):
     # No other representation may stand in for Weyl modules that fail their
     # self-check: the build, the suites and verify all fail.
@@ -544,7 +568,10 @@ def test_the_form_on_the_weyl_modules_is_a_gaussian_binomial():
         form = contravariant_form(rep)
         assert form == LaurentMatrix.diagonal(want)
         assert form * rep.f == rep.e.transpose() * form
-        assert contravariant_form(rep) is form  # cached
+        # The form is read off the generators each time; it is not cached.
+        before = dict(rep._dp_cache)
+        assert contravariant_form(rep) == form
+        assert rep._dp_cache == before
 
 
 def test_the_form_on_the_tensor_power_has_monomial_entries():

@@ -175,3 +175,11 @@ def test_json_degree_mismatch():
     data = {"d": 1, "orientation": "EKF", "terms": []}
     with pytest.raises(ParseError):
         element_from_json(data, ctx)
+
+
+def test_json_without_a_context_makes_its_own():
+    term = {"a": 1, "b1": 2, "b2": 0, "c": 0, "coeff": [[0, "1"]]}
+    data = {"d": 2, "orientation": "FKE", "terms": [term]}
+    x = element_from_json(data)
+    assert x.ctx == Context(2)
+    assert x == Element(Context(2), FKE, {Monomial(1, 2, 0, 0, FKE): ONE})
