@@ -63,9 +63,6 @@ class Monomial(namedtuple("Monomial", "a b1 b2 c orientation", defaults=(EKF,)))
         middle = self.b1 if self.orientation == EKF else self.b2
         return self.a + middle + self.c
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.a, self.b1, self.c)
-
     def swapped(self) -> Monomial:
         """Image under the e<->f, K1<->K2 symmetry, relabeled to the other basis."""
         target = FKE if self.orientation == EKF else EKF
@@ -205,7 +202,8 @@ class Element:
         )
 
     def sorted_terms(self) -> list[tuple[Monomial, LaurentPoly]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        # The keys share one orientation and b1 + b2 = d: tuple order is (a, b1, c) order.
+        return sorted(self.terms.items())
 
     def coefficient(self, m: Monomial) -> LaurentPoly:
         return self.terms.get(m, LaurentPoly.zero())
@@ -297,24 +295,21 @@ def idempotent_element(ctx: Context, b1: int, b2: int, orientation: str = EKF) -
     return Element(ctx, orientation, {Monomial(0, b1, b2, 0, orientation): LaurentPoly.one()})
 
 
+# The weight w of K1, K2 and K = v^-d K1^2 = K1 K2^-1 on K[b1,b2], which each acts on by v^w.
+_K_WEIGHTS = {"K1": lambda b1, b2: b1, "K2": lambda b1, b2: b2, "K": lambda b1, b2: b1 - b2}
+
+
 def k_element(ctx: Context, which: str, orientation: str = EKF) -> Element:
     """The elements K1, K2, their inverses, and K = v^-d K1^2 (with inverse).
 
-    Each is diagonal in the idempotent basis: K1 and K2 act on K[b1,b2] by
-    v^b1 and v^b2, so K acts by v^(2*b1-d).
+    Each is diagonal in the idempotent basis: K1, K2 and K act on K[b1,b2]
+    by v^w with w = b1, b2 and b1 - b2 (``_K_WEIGHTS``), an inverse by v^-w.
     """
-    exponent = {
-        "K1": lambda b1, b2: b1,
-        "K1inv": lambda b1, b2: -b1,
-        "K2": lambda b1, b2: b2,
-        "K2inv": lambda b1, b2: -b2,
-        "K": lambda b1, b2: 2 * b1 - ctx.d,
-        "Kinv": lambda b1, b2: ctx.d - 2 * b1,
-    }
-    if which not in exponent:
+    name = which.removesuffix("inv")
+    if name not in _K_WEIGHTS:
         raise ValueError(f"unknown K-type element {which!r}")
-    fn = exponent[which]
-    return _diagonal_element(ctx, lambda b1, b2: LaurentPoly.v(fn(b1, b2)), orientation)
+    weight, sign = _K_WEIGHTS[name], (1 if name == which else -1)
+    return _diagonal_element(ctx, lambda b1, b2: LaurentPoly.v(sign * weight(b1, b2)), orientation)
 
 
 def divided_power_element(ctx: Context, gen: str, m: int, orientation: str = EKF) -> Element:

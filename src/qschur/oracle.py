@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .algebra import GENERATOR_ORDER, ContextMismatch, Element, Monomial
-from .laurent import LaurentPoly, NotDivisible, _add_term, gauss_binomial, quantum_int
+from .algebra import GENERATOR_ORDER, ContextMismatch, Element
+from .laurent import LaurentPoly, _add_term, gauss_binomial, quantum_int
 
 
 class CoproductCheckFailed(RuntimeError):
@@ -250,15 +250,13 @@ def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
     return proj
 
 
-def _word_matrix(rep: OracleRep, m: Monomial) -> LaurentMatrix:
-    """The matrix of m's word outer^(a) K[b1,b2] inner^(c), canonical or not;
-    outer, inner are e, f for EKF and f, e for FKE."""
-    outer, inner = GENERATOR_ORDER[m.orientation]
-    return (
-        matrix_of_divided_power(rep, outer, m.a)
-        * idempotent_projector(rep, m.b1, m.b2)
-        * matrix_of_divided_power(rep, inner, m.c)
-    )
+def _word_matrix(rep: OracleRep, orientation: str, a: int, middle: LaurentMatrix, c: int):
+    """The matrix of the word outer^(a) middle inner^(c), with outer, inner
+    e, f for EKF and f, e for FKE, around a diagonal ``middle``: the
+    projector of K[b1,b2] for a monomial's word, canonical or not, or a
+    K-binomial."""
+    outer, inner = GENERATOR_ORDER[orientation]
+    return matrix_of_divided_power(rep, outer, a) * middle * matrix_of_divided_power(rep, inner, c)
 
 
 def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
@@ -272,7 +270,8 @@ def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:
         key = ("word", m)
         word = rep._dp_cache.get(key)
         if word is None:
-            word = rep._dp_cache[key] = _word_matrix(rep, m)
+            projector = idempotent_projector(rep, m.b1, m.b2)
+            word = rep._dp_cache[key] = _word_matrix(rep, m.orientation, m.a, projector, m.c)
         for cell, val in word.entries.items():
             _add_term(acc, cell, val * coeff)
     return LaurentMatrix._raw(rep.dim, acc)
@@ -378,7 +377,7 @@ def _fraction_free_rank(rows: list[dict[tuple[int, int], LaurentPoly]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Relation verification
+# Checks and relation verification
 # ---------------------------------------------------------------------------
 
 
@@ -387,21 +386,30 @@ def _report(d: int, suite: str, checks: list[dict]) -> dict:
     return {"d": d, "suite": suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _check(checks: list, cid: str, lhs: LaurentMatrix, rhs: LaurentMatrix) -> None:
-    if lhs == rhs:
-        checks.append({"id": cid, "pass": True})
+def _crashed(cid: str, exc: Exception) -> dict:
+    return {"id": cid, "pass": False, "witness": f"{type(exc).__name__}: {exc}"}
+
+
+def _run(checks: list, cid: str, fn) -> None:
+    """Run one check; fn returns None (pass) or a witness string (fail)."""
+    try:
+        witness = fn()
+    except Exception as exc:  # a crash is a failure, not an abort
+        checks.append(_crashed(cid, exc))
         return
-    diff = lhs - rhs
-    (r, c), val = sorted(diff.entries.items())[0]
-    got = lhs.entries.get((r, c), LaurentPoly.zero())
-    want = rhs.entries.get((r, c), LaurentPoly.zero())
-    checks.append(
-        {
-            "id": cid,
-            "pass": False,
-            "witness": f"entry ({r},{c}): {got} != {want}",
-        }
-    )
+    if witness is None:
+        checks.append({"id": cid, "pass": True})
+    else:
+        checks.append({"id": cid, "pass": False, "witness": witness})
+
+
+def _matrices_equal(lhs: LaurentMatrix, rhs: LaurentMatrix) -> str | None:
+    """None if lhs == rhs, else a witness naming the first entry that differs."""
+    if lhs == rhs:
+        return None
+    (r, c), _ = min((lhs - rhs).entries.items())
+    zero = LaurentPoly.zero()
+    return f"entry ({r},{c}): {lhs.entries.get((r, c), zero)} != {rhs.entries.get((r, c), zero)}"
 
 
 def _minimal_poly(ident, base, roots):
@@ -417,27 +425,32 @@ def _minimal_poly(ident, base, roots):
 
 
 def verify_defining_relations(rep: OracleRep) -> dict:
-    """Check the presentation relations as exact matrix identities."""
+    """Check the presentation relations as exact matrix identities.
+
+    Each check builds its own sides, so a product that raises, such as a
+    commutator numerator not divisible by v - v^-1, fails that check.
+    """
     checks: list[dict] = []
     ident = LaurentMatrix.identity(rep.dim)
+    zero = LaurentMatrix(rep.dim)
     v = LaurentPoly.v
     e, f, k1, k1i, k2, k2i = rep.e, rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv
 
-    _check(checks, "k1-k2-commute", k1 * k2, k2 * k1)
-    _check(checks, "k1-inverse", k1 * k1i, ident)
-    _check(checks, "k2-inverse", k2 * k2i, ident)
-    _check(checks, "k1-conj-e", k1 * e * k1i, e.scale(v(1)))
-    _check(checks, "k1-conj-f", k1 * f * k1i, f.scale(v(-1)))
-    _check(checks, "k2-conj-e", k2 * e * k2i, e.scale(v(-1)))
-    _check(checks, "k2-conj-f", k2 * f * k2i, f.scale(v(1)))
-    try:
-        commutator_rhs = (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))
-    except NotDivisible as exc:  # a wrong K image is a failed check, not a crash
-        checks.append({"id": "ef-commutator", "pass": False, "witness": f"NotDivisible: {exc}"})
-    else:
-        _check(checks, "ef-commutator", e * f - f * e, commutator_rhs)
-    _check(checks, "k1k2-central-scalar", k1 * k2, ident.scale(v(rep.d)))
-    minpoly = _minimal_poly(ident, k1, range(rep.d + 1))
-    _check(checks, "k1-minimal-poly", minpoly, LaurentMatrix(rep.dim))
-
+    _run(checks, "k1-k2-commute", lambda: _matrices_equal(k1 * k2, k2 * k1))
+    _run(checks, "k1-inverse", lambda: _matrices_equal(k1 * k1i, ident))
+    _run(checks, "k2-inverse", lambda: _matrices_equal(k2 * k2i, ident))
+    _run(checks, "k1-conj-e", lambda: _matrices_equal(k1 * e * k1i, e.scale(v(1))))
+    _run(checks, "k1-conj-f", lambda: _matrices_equal(k1 * f * k1i, f.scale(v(-1))))
+    _run(checks, "k2-conj-e", lambda: _matrices_equal(k2 * e * k2i, e.scale(v(-1))))
+    _run(checks, "k2-conj-f", lambda: _matrices_equal(k2 * f * k2i, f.scale(v(1))))
+    _run(
+        checks,
+        "ef-commutator",
+        lambda: _matrices_equal(
+            e * f - f * e, (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))
+        ),
+    )
+    _run(checks, "k1k2-central-scalar", lambda: _matrices_equal(k1 * k2, ident.scale(v(rep.d))))
+    roots = range(rep.d + 1)
+    _run(checks, "k1-minimal-poly", lambda: _matrices_equal(_minimal_poly(ident, k1, roots), zero))
     return _report(rep.d, "defining-relations", checks)

@@ -19,6 +19,7 @@ from math import comb
 from . import algebra, oracle
 from .algebra import EKF, FKE, Context, identity_element, k_element, multiply, zero_element
 from .laurent import LaurentPoly, gauss_binomial, quantum_int
+from .oracle import _crashed, _run
 
 SUITE_GUARDS = {
     "relations": 6,
@@ -34,23 +35,6 @@ FAULTS = (None, "skip-reduction", "broken-module")
 def schur_dimension(d: int) -> int:
     """The dimension of the degree-d algebra: C(d+3, 3)."""
     return comb(d + 3, 3)
-
-
-def _crashed(cid: str, exc: Exception) -> dict:
-    return {"id": cid, "pass": False, "witness": f"{type(exc).__name__}: {exc}"}
-
-
-def _run(checks: list, cid: str, fn) -> None:
-    """Run one check; fn returns None (pass) or a witness string (fail)."""
-    try:
-        witness = fn()
-    except Exception as exc:  # a crash is a failure, not an abort
-        checks.append(_crashed(cid, exc))
-        return
-    if witness is None:
-        checks.append({"id": cid, "pass": True})
-    else:
-        checks.append({"id": cid, "pass": False, "witness": witness})
 
 
 def _elements_equal(x, y) -> str | None:
@@ -330,7 +314,9 @@ def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 
         def oracle_agreement(orientation=orientation):
             for quad in _straightened_quads(ctx, orientation):
-                raw = oracle._word_matrix(rep, algebra.Monomial(*quad, orientation))
+                a, b1, b2, c = quad
+                projector = oracle.idempotent_projector(rep, b1, b2)
+                raw = oracle._word_matrix(rep, orientation, a, projector, c)
                 red = algebra.reduce_monomial(ctx, quad, orientation)
                 if raw != oracle.matrix_of_element(rep, red):
                     return f"straightening of {quad} ({orientation}) disagrees"
@@ -422,11 +408,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         rng.shuffle(triples)
         for a, b, c in triples[:25] + algebra.kbinom_index_set(ctx):
             elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
-            raw = (
-                oracle.matrix_of_divided_power(rep, "e", a)
-                * oracle.diagonal_kbinom(rep.k1, 0, b)
-                * oracle.matrix_of_divided_power(rep, "f", c)
-            )
+            raw = oracle._word_matrix(rep, EKF, a, oracle.diagonal_kbinom(rep.k1, 0, b), c)
             if oracle.matrix_of_element(rep, elt) != raw:
                 return f"ingested K-binomial word {(a, b, c)} disagrees with raw word"
         return None
@@ -557,9 +539,9 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     Lusztig, *Introduction to Quantum Groups*, section 3.1: conjugation by K
     powers, K-binomials sliding past e and f, e past f^(m), and the
     recursion, merge and expansion rules for K-binomials.  K1, K2 and
-    K = K1 K2^-1 act on K[b1,b2] by v^w with w = b1, b2 and b1 - b2, so K^n
-    is the sum of v^(n w) K[b1,b2] and [K; c, t] the sum of [w+c; t] K[b1,b2];
-    each is built once per call.
+    K = K1 K2^-1 act on K[b1,b2] by v^w, w read from ``algebra._K_WEIGHTS``,
+    so K^n is the sum of v^(n w) K[b1,b2] and [K; c, t] the sum of
+    [w+c; t] K[b1,b2]; each is built once per call.
     """
     checks: list[dict] = []
     bound = 4  # the largest |n| of K^n, and of the K-binomial indices c and t
@@ -568,8 +550,8 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     e, f = (algebra.generator_element(ctx, gen) for gen in ("e", "f"))
 
     def diagonal(name, coeff):
-        i = ("K1", "K2", "K").index(name)
-        return algebra._diagonal_element(ctx, lambda b1, b2: coeff((b1, b2, b1 - b2)[i]))
+        weight = algebra._K_WEIGHTS[name]
+        return algebra._diagonal_element(ctx, lambda b1, b2: coeff(weight(b1, b2)))
 
     pows = {
         (name, n): diagonal(name, lambda w: v(n * w))

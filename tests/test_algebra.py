@@ -276,7 +276,6 @@ def test_monomial_keeps_its_frozen_record_contract(d, orientation):
         step = 1 if o == EKF else -1
         assert (m.left, m.right) == (b1 + step * a, b1 + step * c)
         assert m.fake_degree == a + (b1 if o == EKF else b2) + c
-        assert m.sort_key() == (a, b1, c)
         swapped = m.swapped()
         assert type(swapped) is Monomial
         assert swapped == Monomial(a, b2, b1, c, other) and swapped.swapped() == m
@@ -284,6 +283,13 @@ def test_monomial_keeps_its_frozen_record_contract(d, orientation):
             m.a = a + 1
         with pytest.raises(AttributeError):
             m.weight = b1 - b2
+    # sorted_terms lists an element's terms in (a, b1, c) order, whatever
+    # order they were added in.
+    basis = Context(d).monomials(orientation)
+    shuffled = random.Random(d).sample(basis, len(basis))
+    x = Element(Context(d), orientation, {m: V(i) for i, m in enumerate(shuffled)})
+    order = [(m.a, m.b1, m.c) for m, _ in x.sorted_terms()]
+    assert order == sorted((m.a, m.b1, m.c) for m in basis)
 
 
 # -- single-generator products --------------------------------------------------
@@ -566,6 +572,27 @@ def test_k_elements_at_degree_one():
     assert k_element(ctx, "K") == unit(ctx, 0, 1, 0).scale(V(1)) + unit(ctx, 0, 0, 0).scale(V(-1))
     ctx0 = Context(0)
     assert k_element(ctx0, "K1") == identity_element(ctx0)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_k_elements_act_by_their_weights(d):
+    # K1, K2 and K act on K[b1,b2] by v^b1, v^b2 and v^(2 b1 - d); their
+    # inverses by the negated exponents.
+    ctx = Context(d)
+    exponent = {
+        "K1": lambda b1: b1,
+        "K1inv": lambda b1: -b1,
+        "K2": lambda b1: d - b1,
+        "K2inv": lambda b1: b1 - d,
+        "K": lambda b1: 2 * b1 - d,
+        "Kinv": lambda b1: d - 2 * b1,
+    }
+    for which, fn in exponent.items():
+        want = sum((unit(ctx, 0, b1, 0).scale(V(fn(b1))) for b1 in range(d + 1)), zero_element(ctx))
+        assert k_element(ctx, which) == want, which
+    for which in ("K3", "inv", "K1invinv", "k1"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown K-type element {which!r}")):
+            k_element(ctx, which)
 
 
 def test_kbinom_vanishing_above_degree():

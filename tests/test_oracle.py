@@ -122,7 +122,7 @@ def test_the_word_of_a_non_canonical_monomial_is_its_plain_product():
     # product, and it equals the matrix of its straightening.
     ctx, rep = Context(2), build_rep(2)
     m = Monomial(1, 1, 1, 1, EKF)
-    word = oracle._word_matrix(rep, m)
+    word = oracle._word_matrix(rep, EKF, 1, idempotent_projector(rep, 1, 1), 1)
     assert word == rep.e * idempotent_projector(rep, 1, 1) * rep.f
     assert word == matrix_of_element(rep, reduce_monomial(ctx, m[:4], EKF))
     assert ("word", m) not in rep._dp_cache
@@ -169,6 +169,32 @@ def test_a_wrong_weyl_module_fails_the_build(d, monkeypatch):
     monkeypatch.setattr(oracle, "_build_weyl_matrices", lambda d: wrong)
     with pytest.raises(CoproductCheckFailed, match="^Weyl modules fail "):
         build_rep(d)
+
+
+class _RefusingMatrix(LaurentMatrix):
+    """A matrix whose products on the left raise."""
+
+    def __mul__(self, other):
+        raise ArithmeticError("product refused")
+
+
+def test_a_relation_product_that_raises_is_a_failed_check(monkeypatch):
+    # Only the ef-commutator multiplies with e on the left; its failure is
+    # recorded like any other, and the build then refuses the module.
+    e, *rest = oracle._build_weyl_matrices(2)
+    refusing = (_RefusingMatrix(e.dim, e.entries), *rest)
+    report = verify_defining_relations(OracleRep(2, *refusing))
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert failed == [
+        {"id": "ef-commutator", "pass": False, "witness": "ArithmeticError: product refused"}
+    ]
+    monkeypatch.setattr(oracle, "_build_weyl_matrices", lambda d: refusing)
+    with pytest.raises(CoproductCheckFailed) as raised:
+        build_rep(2)
+    assert str(raised.value) == (
+        "Weyl modules fail ef-commutator: ArithmeticError: product refused "
+        "(1 relation checks failed)"
+    )
 
 
 def _suite_checks(d, fault):
@@ -334,6 +360,21 @@ def test_span_rank_of_canonical_monomials():
 
 
 # -- K-binomials, products and projectors -------------------------------------
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_a_kbinom_word_is_its_plain_product(d):
+    # The word builder around a [K1;b] middle, against the triple product.
+    rep = build_rep(d)
+    for a in range(d + 3):
+        for b in range(d + 3):
+            middle = diagonal_kbinom(rep.k1, 0, b)
+            for c in range(d + 3):
+                assert oracle._word_matrix(rep, EKF, a, middle, c) == (
+                    matrix_of_divided_power(rep, "e", a)
+                    * middle
+                    * matrix_of_divided_power(rep, "f", c)
+                ), (a, b, c)
 
 
 def test_diagonal_kbinom_matches_scalar():
