@@ -134,10 +134,12 @@ class OracleRep:
 
     Immutable after construction apart from one cache, ``_dp_cache``: it
     holds the divided powers keyed by (gen, m), the idempotent projectors
-    keyed by ("K", b1, b2), and the basis words outer^(a) K[b1,b2] inner^(c)
+    keyed by ("K", b1, b2), the basis words outer^(a) K[b1,b2] inner^(c)
     that :func:`matrix_of_element` has evaluated, keyed by
-    ("word", monomial).  Each entry is a pure function of its key, so a
-    concurrent duplicate fill is benign.
+    ("word", monomial), and the heads outer^(a) middle of the words that
+    :func:`_word_matrix` has built, keyed by ("head", orientation, a,
+    frozenset of the middle's entries).  Each entry is a pure function of
+    its key, so a concurrent duplicate fill is benign.
 
     Matrices handed out by this module, cached ones included, are shared:
     treat them and their ``entries`` as read-only.
@@ -256,7 +258,12 @@ def _word_matrix(rep: OracleRep, orientation: str, a: int, middle: LaurentMatrix
     projector of K[b1,b2] for a monomial's word, canonical or not, or a
     K-binomial."""
     outer, inner = GENERATOR_ORDER[orientation]
-    return matrix_of_divided_power(rep, outer, a) * middle * matrix_of_divided_power(rep, inner, c)
+    # Words that differ only in c share the head; head * inner^(c) is the same product.
+    key = ("head", orientation, a, frozenset(middle.entries.items()))
+    head = rep._dp_cache.get(key)
+    if head is None:
+        head = rep._dp_cache[key] = matrix_of_divided_power(rep, outer, a) * middle
+    return head * matrix_of_divided_power(rep, inner, c)
 
 
 def matrix_of_element(rep: OracleRep, x: Element) -> LaurentMatrix:

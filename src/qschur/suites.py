@@ -97,9 +97,16 @@ def _omittable_root(ident, base, roots, witness: str) -> str | None:
     one (omitting a single root) would vanish too; ``witness`` is formatted
     with the first root that can be left out.
     """
-    for j in roots:
-        if oracle._minimal_poly(ident, base, [r for r in roots if r != j]).is_zero:
-            return witness.format(j)
+    factors = [base - ident.scale(LaurentPoly.v(r)) for r in roots]
+    # By associativity, leaving out a root is the product ahead of it times the one after it.
+    suffixes = [ident]  # the products of the last 0, 1, 2, ... factors
+    for x in reversed(factors[1:]):
+        suffixes.append(x * suffixes[-1])
+    ahead = ident
+    for r, x, after in zip(roots, factors, reversed(suffixes)):
+        if (ahead * after).is_zero:
+            return witness.format(r)
+        ahead = ahead * x
     return None
 
 
@@ -300,12 +307,14 @@ def _straightened_quads(ctx: Context, orientation: str):
 
 def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     checks: list[dict] = []
+    # Both checks read one straightening per quadruple; a raise is not kept, so each meets it.
+    straightened = cache(algebra.reduce_monomial)
     for orientation in (EKF, FKE):
         tag = orientation.lower()
 
         def structural(orientation=orientation):
             for quad in _straightened_quads(ctx, orientation):
-                for m in algebra.reduce_monomial(ctx, quad, orientation).terms:
+                for m in straightened(ctx, quad, orientation).terms:
                     if m.fake_degree > d or min(m.a, m.b1, m.b2, m.c) < 0 or m.b1 + m.b2 != d:
                         return f"reduce{quad} emitted non-canonical {m}"
             return None
@@ -317,7 +326,7 @@ def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                 a, b1, b2, c = quad
                 projector = oracle.idempotent_projector(rep, b1, b2)
                 raw = oracle._word_matrix(rep, orientation, a, projector, c)
-                red = algebra.reduce_monomial(ctx, quad, orientation)
+                red = straightened(ctx, quad, orientation)
                 if raw != oracle.matrix_of_element(rep, red):
                     return f"straightening of {quad} ({orientation}) disagrees"
             return None
@@ -406,9 +415,11 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             if a + b + c > d
         ]
         rng.shuffle(triples)
+        # [K1;b] depends on b alone, so each is built once for every word around it.
+        kbinom = cache(lambda b: oracle.diagonal_kbinom(rep.k1, 0, b))
         for a, b, c in triples[:25] + algebra.kbinom_index_set(ctx):
             elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
-            raw = oracle._word_matrix(rep, EKF, a, oracle.diagonal_kbinom(rep.k1, 0, b), c)
+            raw = oracle._word_matrix(rep, EKF, a, kbinom(b), c)
             if oracle.matrix_of_element(rep, elt) != raw:
                 return f"ingested K-binomial word {(a, b, c)} disagrees with raw word"
         return None
@@ -435,14 +446,16 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         # invertible D with D M(tau w) = M(w)^T D carries an orbit's check.
         basis = ctx.monomials(EKF)
         index = {m: i for i, m in enumerate(basis)}
+        ends = [(m.left, m.right) for m in basis]
         units = [algebra.Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis]
         matrices = [oracle.matrix_of_element(rep, x) for x in units]
         tau = [index[image] for x in units for image in algebra.anti_involution(x).terms]
         held: dict[tuple[int, int], algebra.Element] = {}
         for i, (m, x) in enumerate(zip(basis, units)):
+            right = ends[i][1]
             for j, (n, y) in enumerate(zip(basis, units)):
                 product = multiply(x, y)
-                if m.right != n.left:
+                if right != ends[j][0]:
                     ok = product.is_zero
                 elif (i, j) in held:
                     ok = product == held.pop((i, j))
@@ -452,17 +465,19 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                         held[(tau[j], tau[i])] = algebra.anti_involution(product)
                 if not ok:
                     return f"product of basis monomials {m} and {n} disagrees"
-        ends = {b for m in basis for b in (m.left, m.right)}
-        projectors = {b: oracle.idempotent_projector(rep, b, d - b) for b in sorted(ends)}
+        met = sorted({b for pair in ends for b in pair})
+        projectors = {b: oracle.idempotent_projector(rep, b, d - b) for b in met}
         for p, mp in projectors.items():
             for q, mq in projectors.items():
                 if p < q and not (mp * mq).is_zero:
                     return f"projectors K[{p},{d - p}] and K[{q},{d - q}] are not orthogonal"
         form = oracle.contravariant_form(rep)
-        for m, word, image in zip(basis, matrices, tau):
-            if not projectors[m.left] * word == word == word * projectors[m.right]:
+        for i, (m, word, image, (left, right)) in enumerate(zip(basis, matrices, tau, ends)):
+            if not projectors[left] * word == word == word * projectors[right]:
                 return f"basis word {m} is not fixed by its idempotents"
-            if form * matrices[image] != word.transpose() * form:
+            # D is diagonal, so the identity of w = tau w' is the transpose of the one on w'.
+            transposed = image < i and tau[image] == i
+            if not transposed and form * matrices[image] != word.transpose() * form:
                 return f"contravariant form fails on basis word {m}"
         return None
 
@@ -563,6 +578,11 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     def kbinom(name: str, c: int, t: int) -> algebra.Element:
         return diagonal(name, lambda w: gauss_binomial(w + c, t))
 
+    # K^-j [K; 0, u] is the same for every c of the expansion, so it is multiplied once.
+    @cache
+    def lowered(name: str, j: int, u: int) -> algebra.Element:
+        return pows[name, -j] * kbinom(name, 0, u)
+
     def check(cid, sides):
         # sides() returns the identity's two sides; it runs here, under _run,
         # so the loop variables it reads are still current.
@@ -618,9 +638,7 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         for c in range(bound + 1):
             for t in range(bound + 1):
                 terms = (
-                    (pows[name, -j] * kbinom(name, 0, t - j)).scale(
-                        gauss_binomial(c, j) * v(c * (t - j))
-                    )
+                    lowered(name, j, t - j).scale(gauss_binomial(c, j) * v(c * (t - j)))
                     for j in range(t + 1)
                 )
                 check(

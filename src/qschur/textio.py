@@ -63,9 +63,8 @@ def _parse_term(text: str, start: int, end: int, ctx: Context, orientation: str)
     while pos < end and text[pos].isspace():
         pos += 1
     if pos < end and text[pos] == "(":
+        # parse_element splits balanced text at depth zero, so the ")" is in this term.
         close = text.find(")", pos)
-        if close == -1 or close >= end:
-            raise ParseError("unclosed coefficient parenthesis", pos)
         try:
             coeff = parse_laurent(text[pos + 1 : close])
         except ValueError as exc:

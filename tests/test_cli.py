@@ -182,8 +182,14 @@ def test_reduce_json_output(capsys):
         ("K[1,0] K[1,0]", "duplicate K factor"),
         ("   ", "empty element text"),
         ("K[1,0])", "unbalanced parenthesis"),
+        # An unclosed coefficient is caught before the text is split in terms.
+        ("(v", "unbalanced parenthesis"),
+        ("v)", "unbalanced parenthesis"),
+        ("(v + 1", "unbalanced parenthesis"),
     ],
-    ids=["no-star", "bad-factor", "duplicate-k", "empty", "stray-close"],
+    ids=[
+        "no-star", "bad-factor", "duplicate-k", "empty", "stray-close", "open", "close", "open-sum"
+    ],
 )
 def test_element_text_errors_are_usage_errors(capsys, lhs, message):
     code, out, err = run(capsys, "multiply", "--d", "1", "--lhs", lhs, "--rhs", "K[1,0]")

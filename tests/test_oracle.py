@@ -14,6 +14,7 @@ from qschur.algebra import (
     Monomial,
     anti_involution,
     identity_element,
+    k_element,
     multiply,
     reduce_monomial,
     zero_element,
@@ -95,6 +96,46 @@ def test_mutated_rep_fails_with_witness():
     failed = {c["id"]: c for c in report["checks"] if not c["pass"]}
     assert any("commutator" in cid or "conj" in cid for cid in failed)
     assert all("witness" in c for c in failed.values())
+
+
+def _first_omittable_root(ident, base, roots, witness):
+    """The reference for suites._omittable_root: each product leaving out one
+    root, multiplied out in order by itself."""
+    for j, r in enumerate(roots):
+        if oracle._minimal_poly(ident, base, roots[:j] + roots[j + 1 :]).is_zero:
+            return witness.format(r)
+    return None
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_omittable_root_matches_the_direct_products(d):
+    # Both callers' rings and witness texts, on the K1 spectrum and on lists
+    # where a root can be left out: an extra root, or a repeated one, whose
+    # first copy is then the witness.
+    ctx, rep = Context(d), build_rep(d)
+    symbolic = "product omitting eigenvalue v^{} already vanishes"
+    matrix = "matrix product omitting v^{} vanishes"
+    ident_m = LaurentMatrix.identity(rep.dim)
+    rings = [(identity_element(ctx), k_element(ctx, name), symbolic) for name in ("K1", "K2", "K")]
+    rings += [(ident_m, m, matrix) for m in (rep.k1, rep.k2, (rep.k1 * rep.k1).scale(V(-d)))]
+    spectrum = list(range(d + 1))
+    root_lists = [
+        spectrum,
+        spectrum[::-1],
+        [d - 2 * i for i in spectrum],
+        spectrum[1:],
+        spectrum + [d + 1],
+        [d + 1] + spectrum,
+        spectrum[: d // 2 + 1] + spectrum[d // 2 :],
+    ]
+    seen = set()
+    for ident, base, witness in rings:
+        for roots in root_lists:
+            got = suites._omittable_root(ident, base, roots, witness)
+            assert got == _first_omittable_root(ident, base, roots, witness), (base, roots)
+            seen.add(got)
+    assert None in seen
+    assert {form.format(r) for form in (symbolic, matrix) for r in (d + 1, d // 2)} <= seen
 
 
 def test_conventions():
@@ -441,6 +482,13 @@ def test_every_cached_word_is_its_plain_product(d):
         ), m
 
 
+def _negated_entry(matrix: LaurentMatrix) -> LaurentMatrix:
+    """``matrix`` with the first coefficient of its first entry negated."""
+    cell, val = next(iter(matrix.entries.items()))
+    (exp, coeff), *rest = val.items()
+    return LaurentMatrix(matrix.dim, {**matrix.entries, cell: LaurentPoly([(exp, -coeff), *rest])})
+
+
 def test_a_wrong_cached_word_is_caught_by_the_oracle():
     ctx, rep = Context(2), build_rep(2)
     assert all(c["pass"] for c in suites.suite_oracle(2, ctx, rep))
@@ -448,13 +496,49 @@ def test_a_wrong_cached_word_is_caught_by_the_oracle():
     assert len(keys) == len(ctx.monomials(EKF))
     for key in keys:
         word = rep._dp_cache[key]
-        cell, val = next(iter(word.entries.items()))
-        (exp, coeff), *rest = val.items()
-        wrong = LaurentMatrix(rep.dim, {**word.entries, cell: LaurentPoly([(exp, -coeff), *rest])})
-        rep._dp_cache[key] = wrong
+        rep._dp_cache[key] = _negated_entry(word)
         checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
         assert checks["orc-homomorphism"] is False, key
         rep._dp_cache[key] = word
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_word_whose_form_identity_is_not_checked_is_caught(d):
+    # orc-homomorphism checks D M(tau w) = M(w)^T D only on the earlier word
+    # of each tau-orbit: e^(a) K f^(c) with c < a is the later one.  A wrong
+    # cached matrix of that word must still fail the check.
+    rep = suites._build_rep(d, None)  # held here, so run_suites reuses it
+    assert suites.run_suites(["oracle"], d)["pass"]
+    partners = [m for m in Context(d).monomials(EKF) if m.c < m.a]
+    assert partners
+    for m in partners:
+        word = rep._dp_cache["word", m]
+        rep._dp_cache["word", m] = _negated_entry(word)
+        checks = {c["id"]: c["pass"] for c in suites.run_suites(["oracle"], d)["checks"]}
+        assert checks["oracle/orc-homomorphism"] is False, m
+        rep._dp_cache["word", m] = word
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_cached_head_fails_an_oracle_check(d):
+    # _word_matrix keeps each head outer^(a) middle for the words that share
+    # it.  Every nonzero head a healthy run keeps, made wrong in a fresh
+    # representation before any word is built from it, fails an orc- check
+    # of the suites that build words.
+    healthy = suites._build_rep(d, None)
+    assert suites.run_suites(list(suites.SUITES), d)["pass"]
+    heads = {k: m for k, m in healthy._dp_cache.items() if k[0] == "head" and not m.is_zero}
+    assert {k[1] for k in heads} == {EKF, FKE}
+    for key, head in heads.items():
+        ctx, rep = Context(d), build_rep(d)
+        rep._dp_cache[key] = _negated_entry(head)
+        failed = [
+            c["id"]
+            for suite in (suites.suite_reduction, suites.suite_basis, suites.suite_oracle)
+            for c in suite(d, ctx, rep)
+            if not c["pass"]
+        ]
+        assert any(cid.startswith("orc-") for cid in failed), key[:3]
 
 
 # -- matrix_of_element as an algebra map ------------------------------------
