@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import takewhile
 
-from .laurent import LaurentPoly, _add_term, gauss_binomial
+from .laurent import LaurentPoly, _add_term, _Combination, gauss_binomial
 
 EKF = "EKF"
 FKE = "FKE"
@@ -157,8 +157,9 @@ def _check_orientation(orientation: str) -> None:
         raise ValueError(f"orientation must be {EKF!r} or {FKE!r}, got {orientation!r}")
 
 
-class Element:
-    """A finite Z[v, v^-1]-linear combination of canonical monomials."""
+class Element(_Combination):
+    """A finite Z[v, v^-1]-linear combination of canonical monomials: a
+    :class:`laurent._Combination` whose space is its (context, orientation)."""
 
     __slots__ = ("ctx", "orientation", "terms")
 
@@ -185,21 +186,8 @@ class Element:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.orientation == other.orientation
-            and self.terms == other.terms
-        )
 
     def sorted_terms(self) -> list[tuple[Monomial, LaurentPoly]]:
         # The keys share one orientation and b1 + b2 = d: tuple order is (a, b1, c) order.
@@ -215,6 +203,12 @@ class Element:
 
     # -- linear operations -------------------------------------------------
 
+    def _map(self) -> dict[Monomial, LaurentPoly]:
+        return self.terms
+
+    def _space(self) -> tuple[Context, str]:
+        return self.ctx, self.orientation
+
     def _require_compatible(self, other: Element) -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(f"contexts differ: {self.ctx!r} vs {other.ctx!r}")
@@ -222,35 +216,6 @@ class Element:
             raise ContextMismatch(
                 f"orientations differ: {self.orientation} vs {other.orientation}"
             )
-
-    def __add__(self, other: Element) -> Element:
-        self._require_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(terms, m, c)
-        return self._raw(self.ctx, self.orientation, terms)
-
-    def __neg__(self) -> Element:
-        return self._raw(self.ctx, self.orientation, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: Element) -> Element:
-        return self + (-other)
-
-    def scale(self, scalar: int | LaurentPoly) -> Element:
-        scalar = LaurentPoly.coerce(scalar)
-        if scalar.is_zero:
-            return self._raw(self.ctx, self.orientation, {})
-        return self._raw(
-            self.ctx, self.orientation, {m: c * scalar for m, c in self.terms.items()}
-        )
-
-    def exact_div_scalar(self, scalar: int | LaurentPoly) -> Element:
-        scalar = LaurentPoly.coerce(scalar)
-        return self._raw(
-            self.ctx,
-            self.orientation,
-            {m: c.exact_div(scalar) for m, c in self.terms.items()},
-        )
 
     def __mul__(self, other: Element) -> Element:
         if isinstance(other, Element):

@@ -318,6 +318,66 @@ def _add_term(terms: dict, key, coeff: LaurentPoly) -> None:
         terms[key] = coeff
 
 
+class _Combination:
+    """The free Z[v, v^-1]-module operations on a map from keys to nonzero coefficients.
+
+    A subclass supplies four hooks: ``_map()``, the map; ``_space()``, the
+    tuple that fixes its module (a context and orientation, or a size);
+    ``_raw(*space, map)``, which builds a value in that space from a map
+    already free of zeros; and ``_require_compatible(other)``, which raises
+    ``ContextMismatch`` for an operand of its type in another space.  An
+    operand of another type gets ``NotImplemented``.
+    """
+
+    __slots__ = ()
+
+    def _same_type(self, other: object) -> bool:
+        # Either class may derive from the other, so a subclass works on both sides.
+        return isinstance(other, _Combination) and (
+            isinstance(other, type(self)) or isinstance(self, type(other))
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._map()
+
+    def __eq__(self, other: object) -> bool:
+        if not self._same_type(other):
+            return NotImplemented
+        return self._space() == other._space() and self._map() == other._map()
+
+    def __add__(self, other):
+        if not self._same_type(other):
+            return NotImplemented
+        self._require_compatible(other)
+        terms = dict(self._map())
+        for key, coeff in other._map().items():
+            _add_term(terms, key, coeff)
+        return self._raw(*self._space(), terms)
+
+    def __neg__(self):
+        return self._raw(*self._space(), {k: -c for k, c in self._map().items()})
+
+    def __sub__(self, other):
+        if not self._same_type(other):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, scalar: int | LaurentPoly):
+        scalar = LaurentPoly.coerce(scalar)
+        if scalar.is_zero:
+            return self._raw(*self._space(), {})
+        # Z[v, v^-1] has no zero divisors, so no product below is zero.
+        return self._raw(*self._space(), {k: c * scalar for k, c in self._map().items()})
+
+    def exact_div_scalar(self, scalar: int | LaurentPoly):
+        """Each coefficient divided exactly by scalar; a zero scalar raises DivisionByZero."""
+        scalar = LaurentPoly.coerce(scalar)
+        if scalar.is_zero:
+            raise DivisionByZero("division by the zero polynomial")
+        return self._raw(*self._space(), {k: c.exact_div(scalar) for k, c in self._map().items()})
+
+
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse the text form produced by ``str()``.
 

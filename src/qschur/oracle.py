@@ -17,15 +17,16 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
-from .laurent import LaurentPoly, _add_term, gauss_binomial, quantum_int
+from .laurent import LaurentPoly, _add_term, _Combination, gauss_binomial, quantum_int
 
 
 class CoproductCheckFailed(RuntimeError):
     """The built matrices fail the defining relations."""
 
 
-class LaurentMatrix:
-    """A sparse square matrix with Laurent polynomial entries."""
+class LaurentMatrix(_Combination):
+    """A sparse square matrix with Laurent polynomial entries: a
+    :class:`laurent._Combination` whose space is its size."""
 
     __slots__ = ("dim", "entries")
 
@@ -40,9 +41,7 @@ class LaurentMatrix:
         for (r, c), val in items:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise IndexError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
-            val = LaurentPoly.coerce(val)
-            if not val.is_zero:
-                acc[(r, c)] = val
+            _add_term(acc, (r, c), LaurentPoly.coerce(val))
         self.entries = acc
 
     @staticmethod
@@ -62,36 +61,20 @@ class LaurentMatrix:
     def diagonal(values: list[LaurentPoly]) -> LaurentMatrix:
         return LaurentMatrix(len(values), {(i, i): x for i, x in enumerate(values)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
+    def _map(self) -> dict[tuple[int, int], LaurentPoly]:
+        return self.entries
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
+    def _space(self) -> tuple[int]:
+        return (self.dim,)
 
-    def __add__(self, other: LaurentMatrix) -> LaurentMatrix:
-        entries = dict(self.entries)
-        for k, val in other.entries.items():
-            _add_term(entries, k, val)
-        return LaurentMatrix._raw(self.dim, entries)
-
-    def __neg__(self) -> LaurentMatrix:
-        return LaurentMatrix._raw(self.dim, {k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
-        return self + (-other)
-
-    def scale(self, scalar: int | LaurentPoly) -> LaurentMatrix:
-        scalar = LaurentPoly.coerce(scalar)
-        return LaurentMatrix(
-            self.dim, {k: v * scalar for k, v in self.entries.items()}
-        )
+    def _require_compatible(self, other: LaurentMatrix) -> None:
+        if self.dim != other.dim:
+            raise ContextMismatch(f"sizes differ: {self.dim} vs {other.dim}")
 
     def __mul__(self, other: LaurentMatrix) -> LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
+        self._require_compatible(other)
         rows: dict[int, dict[int, LaurentPoly]] = {}
         for (r, c), val in other.entries.items():
             rows.setdefault(r, {})[c] = val
@@ -106,11 +89,6 @@ class LaurentMatrix:
 
     def transpose(self) -> LaurentMatrix:
         return LaurentMatrix._raw(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def exact_div_scalar(self, scalar: LaurentPoly) -> LaurentMatrix:
-        return LaurentMatrix(
-            self.dim, {k: v.exact_div(scalar) for k, v in self.entries.items()}
-        )
 
     def diagonal_exponents(self) -> list[int]:
         """Exponents m with entry v^m on the diagonal; requires the matrix
@@ -422,8 +400,8 @@ def _matrices_equal(lhs: LaurentMatrix, rhs: LaurentMatrix) -> str | None:
 def _minimal_poly(ident, base, roots):
     """The product of (base - v^r) over the roots, in the ring whose unit is ident.
 
-    Serves both LaurentMatrix values and the suites' Elements: each has *, -
-    and scale.
+    Serves both LaurentMatrix values and the suites' Elements: any
+    :class:`laurent._Combination` with a product.
     """
     acc = ident
     for r in roots:

@@ -12,8 +12,7 @@ knobs exist precisely so tests can prove the suites catch broken builds.
 from __future__ import annotations
 
 import random
-import weakref
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 
 from . import algebra, oracle
@@ -45,13 +44,6 @@ def _elements_equal(x, y) -> str | None:
     return f"{format_element(x)} != {format_element(y)}"
 
 
-# The representations in use, keyed by (d, fault).  One stays here only
-# while some caller holds it, as run_suites does for the length of its loop,
-# so that all its suites share one build; a failed build raises before it is
-# stored, and so is retried and reported by each suite.
-_REPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def _weyl_with_short_e(d: int):
     """The Weyl generators with e v_j = [n-j] v_{j-1} instead of [n-j+1] v_{j-1}."""
     e, *rest = oracle._build_weyl_matrices(d)
@@ -71,18 +63,15 @@ class _UnstraightenedContext(Context):
         return algebra.Element(self, m.orientation, {m: LaurentPoly.one()})
 
 
+# The last build is kept until another (d, fault) needs one, so the suites
+# of one run share it; a failed build raises, is not kept, and so is retried
+# and reported by each suite.
+@lru_cache(maxsize=1)
 def _build_rep(d: int, fault: str | None):
-    key = (d, fault)
-    cached = _REPS.get(key)
-    if cached is not None:
-        return cached
     if fault == "broken-module":
         # Unchecked, so that the suites rather than the build must catch it.
-        rep = oracle.OracleRep(d, *_weyl_with_short_e(d))
-    else:
-        rep = oracle.build_rep(d)
-    _REPS[key] = rep
-    return rep
+        return oracle.OracleRep(d, *_weyl_with_short_e(d))
+    return oracle.build_rep(d)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +82,8 @@ def _build_rep(d: int, fault: str | None):
 def _omittable_root(ident, base, roots, witness: str) -> str | None:
     """None if base is killed by no product that leaves out one root, else a witness.
 
-    If any proper sub-product of the minimal polynomial vanished, a maximal
+    ident and base are :class:`laurent._Combination` values with a product,
+    as for :func:`oracle._minimal_poly`.  If any proper sub-product of the minimal polynomial vanished, a maximal
     one (omitting a single root) would vanish too; ``witness`` is formatted
     with the first root that can be left out.
     """
@@ -687,13 +677,9 @@ def run_suites(
 ) -> dict:
     """Run several suites and merge their checks into one report.
 
-    All the suites share one representation, built here and held for the
-    loop; if that build fails, each suite reports the failure itself.
+    All the suites share one representation, the one :func:`_build_rep`
+    keeps; if that build fails, each suite reports the failure itself.
     """
-    try:
-        held = _build_rep(d, fault)  # memoised while held
-    except Exception:
-        held = None
     checks: list[dict] = []
     for name in names:
         report = run_suite(name, d, seed=seed, fault=fault)

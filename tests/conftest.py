@@ -7,11 +7,10 @@ from qschur import suites
 
 @pytest.fixture(autouse=True)
 def _fresh_representations():
-    """Forget the suites' representations after each test.
+    """Forget the suites' representation after each test.
 
-    A failed test's traceback can keep a representation alive in
-    ``suites._REPS``, and its caches may have been filled under a
-    monkeypatch; the next test must build its own.
+    ``suites._build_rep`` keeps its last build, whose caches may have been
+    filled under a monkeypatch; the next test must build its own.
     """
     yield
-    suites._REPS.clear()
+    suites._build_rep.cache_clear()

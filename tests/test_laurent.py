@@ -1,6 +1,5 @@
 """Ring arithmetic, quantum combinatorics, and serialization."""
 
-import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -163,9 +162,9 @@ def test_a_unit_of_its_own_multiplies_as_the_shared_one(x):
 def test_a_dropped_monomial_shift_is_caught_by_the_suites(monkeypatch):
     # Multiplying by s*v^k with the shift k left out must fail every suite
     # that multiplies.  The representation is built with the healthy product
-    # and held, so the suites reuse it instead of failing at its build.
-    monkeypatch.setattr(suites, "_REPS", weakref.WeakValueDictionary())
-    held = suites._build_rep(2, None)  # noqa: F841
+    # and kept by _build_rep, so the suites reuse it instead of failing at
+    # its build.
+    suites._build_rep(2, None)
     names = ("relations", "idempotents", "basis", "oracle", "lusztig")
     for name in names:
         assert suites.run_suite(name, 2)["pass"], name

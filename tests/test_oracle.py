@@ -1,5 +1,6 @@
 """The matrix representations and their verification machinery."""
 
+import operator
 from functools import lru_cache
 
 import pytest
@@ -10,6 +11,7 @@ from qschur.algebra import (
     EKF,
     FKE,
     Context,
+    ContextMismatch,
     Element,
     Monomial,
     anti_involution,
@@ -19,7 +21,7 @@ from qschur.algebra import (
     reduce_monomial,
     zero_element,
 )
-from qschur.laurent import LaurentPoly, NotDivisible, gauss_binomial, quantum_int
+from qschur.laurent import DivisionByZero, LaurentPoly, NotDivisible, gauss_binomial, quantum_int
 from qschur import algebra, oracle, suites
 from qschur.cli import main
 from qschur.oracle import (
@@ -80,6 +82,45 @@ def test_k1_spectrum():
 def test_diagonal_exponents_rejects_other_matrices(entries):
     with pytest.raises(ValueError, match="diagonal"):
         LaurentMatrix(2, entries).diagonal_exponents()
+
+
+# -- the module operations elements and matrices share ------------------------
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_matrices_of_different_sizes_do_not_combine(op):
+    with pytest.raises(ContextMismatch, match="sizes differ"):
+        op(LaurentMatrix(2), LaurentMatrix(3, {(2, 2): ONE}))
+
+
+def test_a_matrix_sums_repeated_cells():
+    assert LaurentMatrix(2, [((0, 0), 1), ((0, 0), 1)]) == LaurentMatrix(2, {(0, 0): 2})
+    assert LaurentMatrix(2, [((0, 1), V(1)), ((0, 1), -V(1))]).is_zero
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        zero_element(Context(2)),
+        identity_element(Context(2)),
+        LaurentMatrix(2),
+        LaurentMatrix.identity(2),
+    ],
+    ids=["zero element", "element", "zero matrix", "matrix"],
+)
+def test_dividing_by_zero_raises_whatever_is_divided(value):
+    for zero in (0, LaurentPoly.zero()):
+        with pytest.raises(DivisionByZero):
+            value.exact_div_scalar(zero)
+
+
+def test_elements_and_matrices_do_not_combine():
+    x, m = identity_element(Context(2)), LaurentMatrix.identity(4)
+    with pytest.raises(TypeError):
+        x + m
+    with pytest.raises(TypeError):
+        m - x
+    assert x != m
 
 
 @pytest.mark.parametrize("d", range(5))
@@ -305,10 +346,14 @@ def test_run_suites_builds_one_representation(monkeypatch):
     monkeypatch.setattr(oracle, "build_rep", counted)
     assert suites.run_suites(list(suites.SUITES), 3)["pass"]
     assert calls == [3]
-    # The memo holds no representation once the run has returned.
-    assert len(suites._REPS) == 0
+    # The build outlives the run: a later suite at the same (d, fault) reuses it.
     assert suites.run_suite("relations", 3)["pass"]
-    assert calls == [3, 3]
+    assert calls == [3]
+    # Only the last build is kept, so another degree builds anew, and so
+    # does a return to the first.
+    assert suites.run_suite("relations", 2)["pass"]
+    assert suites.run_suite("relations", 3)["pass"]
+    assert calls == [3, 2, 3]
 
 
 def test_divided_powers():
