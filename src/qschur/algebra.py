@@ -72,13 +72,15 @@ class Monomial(namedtuple("Monomial", "a b1 b2 c orientation", defaults=(EKF,)))
 class Context:
     """Fixed degree d with its idempotent index set.
 
-    Immutable after construction apart from two memos: the canonical basis
-    per orientation, and the straightened form of each EKF monomial that a
+    Immutable after construction apart from three memos: the canonical basis
+    per orientation; the straightened form of each EKF monomial that a
     product or a K-binomial expansion has met, keyed by ``(a, b1, c)`` and
-    held as a tuple of ``(Monomial, LaurentPoly)`` pairs.  Both die with the
-    context.  A context is safe to share across threads: each memo entry is
-    a pure function of the context and its key, so a duplicate fill from two
-    threads is harmless.
+    held as a tuple of ``(Monomial, LaurentPoly)`` pairs; and the EKF
+    expansion of each K-binomial unit e^(a) [K1; b] f^(c) met, keyed by
+    ``(a, b, c)``.  An expansion that raises stores nothing, and all three
+    die with the context.  A context is safe to share across threads: each
+    memo entry is a pure function of the context and its key, so a duplicate
+    fill from two threads is harmless.
     """
 
     def __init__(self, d: int):
@@ -90,6 +92,7 @@ class Context:
         self._straightened: dict[
             tuple[int, int, int], tuple[tuple[Monomial, LaurentPoly], ...]
         ] = {}
+        self._kbinom_units: dict[tuple[int, int, int], Element] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Context):
@@ -491,33 +494,30 @@ def convert_orientation(x: Element, target: str) -> Element:
 
 
 def _kbinom_unit(ctx: Context, a: int, b: int, c: int) -> Element:
-    """e^(a) [K1; b] f^(c) expanded into the EKF canonical basis."""
-    terms: dict[Monomial, LaurentPoly] = {}
-    for b1, _ in ctx.idempotents:
-        coeff = gauss_binomial(b1, b)
-        if coeff.is_zero:
-            continue
-        for mono, r in _straightened_terms(ctx, a, b1, c):
-            _add_term(terms, mono, r * coeff)
-    return Element._raw(ctx, EKF, terms)
-
-
-def _kbinom_order_key(triple: tuple[int, int, int]) -> tuple[int, int, int]:
-    # Straightening strictly lowers height and the K1-binomial expansion
-    # strictly raises the middle index, so this order makes the basis-change
-    # matrix unitriangular.
-    a, b, c = triple
-    return (-(a + c), a, b)
+    """e^(a) [K1; b] f^(c) expanded into the EKF canonical basis, once per context."""
+    unit = ctx._kbinom_units.get((a, b, c))
+    if unit is None:
+        terms: dict[Monomial, LaurentPoly] = {}
+        for b1, _ in ctx.idempotents:
+            coeff = gauss_binomial(b1, b)
+            if coeff.is_zero:
+                continue
+            for mono, r in _straightened_terms(ctx, a, b1, c):
+                _add_term(terms, mono, r * coeff)
+        unit = ctx._kbinom_units[(a, b, c)] = Element._raw(ctx, EKF, terms)
+    return unit
 
 
 def kbinom_index_set(ctx: Context) -> list[tuple[int, int, int]]:
-    """Triples (a, b, c) with a + b + c <= d, in the triangular order."""
+    """Triples (a, b, c) with a + b + c <= d, by height a + c descending, then a, then b.
+
+    Straightening strictly lowers height and the K1-binomial expansion
+    strictly raises the middle index, so this order makes the basis-change
+    matrix unitriangular.
+    """
     d = ctx.d
-    triples = [
-        (a, b, c) for a in range(d + 1) for b in range(d - a + 1) for c in range(d - a - b + 1)
-    ]
-    triples.sort(key=_kbinom_order_key)
-    return triples
+    heights = range(d, -1, -1)
+    return [(a, b, h - a) for h in heights for a in range(h + 1) for b in range(d - h + 1)]
 
 
 def change_from_kbinom_basis(
@@ -528,15 +528,16 @@ def change_from_kbinom_basis(
     Out-of-range triples (a + b + c > d) are legal; their expansions
     straighten into the canonical basis.
     """
-    result = zero_element(ctx)
+    terms: dict[Monomial, LaurentPoly] = {}
     for (a, b, c), coeff in coeffs.items():
         if a < 0 or b < 0 or c < 0:
             raise IndexOutOfRange(f"negative exponent in K-binomial triple ({a},{b},{c})")
         coeff = LaurentPoly.coerce(coeff)
         if coeff.is_zero:
             continue
-        result = result + _kbinom_unit(ctx, a, b, c).scale(coeff)
-    return result
+        for m, u in _kbinom_unit(ctx, a, b, c).terms.items():
+            _add_term(terms, m, u * coeff)
+    return Element._raw(ctx, EKF, terms)
 
 
 def change_to_kbinom_basis(x: Element) -> dict[tuple[int, int, int], LaurentPoly]:
@@ -552,9 +553,8 @@ def change_to_kbinom_basis(x: Element) -> dict[tuple[int, int, int], LaurentPoly
     residual = dict(x.terms)
     out: dict[tuple[int, int, int], LaurentPoly] = {}
     for a, b, c in kbinom_index_set(ctx):
-        mono = Monomial(a, b, ctx.d - b, c, EKF)
-        coeff = residual.get(mono)
-        if coeff is None or coeff.is_zero:
+        coeff = residual.get(Monomial(a, b, ctx.d - b, c, EKF))
+        if coeff is None:
             continue
         out[(a, b, c)] = coeff
         for m, u in _kbinom_unit(ctx, a, b, c).terms.items():

@@ -14,7 +14,7 @@ matrices with exact arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from .algebra import GENERATOR_ORDER, ContextMismatch, Element
 from .laurent import LaurentPoly, _add_term, _Combination, gauss_binomial, quantum_int
@@ -33,10 +33,10 @@ class LaurentMatrix(_Combination):
     def __init__(
         self,
         dim: int,
-        entries: dict[tuple[int, int], LaurentPoly] | Iterable = (),
+        entries: Mapping[tuple[int, int], LaurentPoly] | Iterable = (),
     ):
         self.dim = dim
-        items = entries.items() if isinstance(entries, dict) else entries
+        items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[tuple[int, int], LaurentPoly] = {}
         for (r, c), val in items:
             if not (0 <= r < dim and 0 <= c < dim):

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import re
+from functools import cache
 from types import MappingProxyType
 
 import pytest
@@ -691,6 +692,56 @@ def test_a_wrong_kbinom_unit_is_caught_by_the_closure_check(monkeypatch, d):
     assert not checks["orc-kbinom-closure"]
 
 
+def test_a_kbinom_unit_is_expanded_once_per_context():
+    for d in range(5):
+        ctx = Context(d)
+        for t in itertools.product(range(d + 2), repeat=3):
+            assert algebra._kbinom_unit(ctx, *t) is algebra._kbinom_unit(ctx, *t)
+
+
+@pytest.mark.parametrize("unstraightened", [False, True])
+def test_kbinom_unit_memo_holds_each_triples_expansion(unstraightened):
+    for d in range(5):
+        ctx = _UnstraightenedContext(d) if unstraightened else Context(d)
+        fill_memo_through_kbinom(ctx)
+        assert ctx._kbinom_units
+        for triple, entry in ctx._kbinom_units.items():
+            fresh = type(ctx)(d)
+            assert entry == algebra._kbinom_unit(fresh, *triple)
+
+
+def test_kbinom_unit_memo_is_per_context():
+    for d in range(1, 4):
+        ctx, fault = Context(d), _UnstraightenedContext(d)
+        fill_memo_through_kbinom(ctx)
+        assert fault._kbinom_units == {}
+        fill_memo_through_kbinom(fault)
+        memo, other = ctx._kbinom_units, fault._kbinom_units
+        assert any(other[key] != memo[key] for key in memo.keys() & other.keys())
+        assert not any(other.get(key) is unit for key, unit in memo.items())
+
+
+def test_a_kbinom_unit_that_raises_leaves_no_entry():
+    # Unstraightened, e^(d+1) is a monomial no element may hold.
+    for d in range(4):
+        fault = _UnstraightenedContext(d)
+        with pytest.raises(IndexOutOfRange):
+            algebra._kbinom_unit(fault, d + 1, 0, 0)
+        assert (d + 1, 0, 0) not in fault._kbinom_units
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_kbinom_unit_memo_entry_is_caught_by_the_closure_check(d):
+    rep = suites._build_rep(d, None)
+    assert all(c["pass"] for c in suites.suite_basis(d, Context(d), rep))
+    ctx = Context(d)
+    triple = (0, 1, 0)  # [K1; 1], the sum of [b1; 1] K[b1, d-b1] over b1 >= 1
+    ctx._kbinom_units[triple] = _off_diagonal_negated(algebra._kbinom_unit)(ctx, *triple)
+    assert ctx._kbinom_units[triple] != algebra._kbinom_unit(Context(d), *triple)
+    checks = {c["id"]: c["pass"] for c in suites.suite_basis(d, ctx, rep)}
+    assert checks["orc-kbinom-closure"] is False
+
+
 def _rewritten(function, old, new):
     """``function`` compiled again from its source with the one ``old`` read as ``new``."""
     source = inspect.getsource(function)
@@ -785,6 +836,61 @@ def test_change_from_accepts_out_of_range():
     assert all(m.fake_degree <= 1 for m in x.terms)
     with pytest.raises(IndexOutOfRange):
         change_from_kbinom_basis(ctx, {(-1, 0, 0): ONE})
+
+
+def reference_change_from(ctx, coeffs):
+    """The sum, one Element per triple, that change_from_kbinom_basis replaces;
+    each unit e^(a) [K1; b] f^(c) is the sum of [b1; b] e^(a) K[b1,b2] f^(c)
+    over the idempotents, each straightened by reduce_monomial."""
+    result = zero_element(ctx)
+    for (a, b, c), coeff in coeffs.items():
+        unit = zero_element(ctx)
+        for b1, b2 in ctx.idempotents:
+            unit = unit + reduce_monomial(ctx, (a, b1, b2, c)).scale(gauss_binomial(b1, b))
+        result = result + unit.scale(coeff)
+    return result
+
+
+@cache
+def nonzero_out_of_range_expansions(d):
+    """Each triple with entries up to d + 2 and a + b + c > d whose unit is
+    not zero, with its K-binomial coordinates (a context of their own)."""
+    ctx = Context(d)
+    triples = itertools.product(range(d + 3), repeat=3)
+    units = {t: change_from_kbinom_basis(ctx, {t: ONE}) for t in triples}
+    return [(t, change_to_kbinom_basis(u)) for t, u in units.items() if sum(t) > d and u]
+
+
+@st.composite
+def kbinom_coefficient_maps(draw):
+    """A context of degree d <= 5 and a map from triples with entries up to
+    d + 2 to zero, plain-int or Laurent coefficients.  It may hold a group
+    that cancels: an out-of-range triple with p, and -p times the
+    coordinates of its nonzero expansion."""
+    d = draw(st.integers(0, 5))
+    entry = st.integers(0, d + 2)
+    triple = st.tuples(entry, entry, entry)
+    coeff = st.one_of(st.just(0), st.integers(-2, 2), small_polys)
+    coeffs = draw(st.dictionaries(triple, coeff, max_size=4))
+    if d and draw(st.booleans()):
+        t, coords = draw(st.sampled_from(nonzero_out_of_range_expansions(d)))
+        p = draw(small_polys.filter(lambda p: not p.is_zero))
+        coeffs.update({s: -(q * p) for s, q in coords.items()})
+        coeffs[t] = p
+    return Context(d), coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(kbinom_coefficient_maps(), st.data())
+def test_change_from_kbinom_basis_matches_the_per_triple_sum(drawn, data):
+    ctx, coeffs = drawn
+    got = change_from_kbinom_basis(ctx, coeffs)
+    assert got == reference_change_from(ctx, coeffs)
+    assert all(not u.is_zero for u in got.terms.values())
+    entry = st.integers(-2, ctx.d + 2)
+    negative = data.draw(st.tuples(entry, entry, entry).filter(lambda t: min(t) < 0))
+    with pytest.raises(IndexOutOfRange, match="negative exponent"):
+        change_from_kbinom_basis(ctx, {**coeffs, negative: data.draw(st.sampled_from([0, 1]))})
 
 
 # -- orientation ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import operator
 from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +97,14 @@ def test_matrices_of_different_sizes_do_not_combine(op):
 def test_a_matrix_sums_repeated_cells():
     assert LaurentMatrix(2, [((0, 0), 1), ((0, 0), 1)]) == LaurentMatrix(2, {(0, 0): 2})
     assert LaurentMatrix(2, [((0, 1), V(1)), ((0, 1), -V(1))]).is_zero
+
+
+def test_a_matrix_takes_any_mapping_of_cells():
+    # As Element and LaurentPoly do: a read-only view is a map, not an
+    # iterable of (cell, value) pairs.
+    cells = MappingProxyType({(0, 0): 1, (1, 0): V(2)})
+    assert LaurentMatrix(2, cells) == LaurentMatrix(2, dict(cells))
+    assert LaurentMatrix(2, cells).entries == {(0, 0): ONE, (1, 0): V(2)}
 
 
 @pytest.mark.parametrize(
