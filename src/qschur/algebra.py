@@ -73,9 +73,9 @@ class Context:
     """Fixed degree d with its idempotent index set.
 
     Immutable after construction apart from three memos: the canonical basis
-    per orientation; the straightened form of each EKF monomial that a
-    product or a K-binomial expansion has met, keyed by ``(a, b1, c)`` and
-    held as a tuple of ``(Monomial, LaurentPoly)`` pairs; and the EKF
+    per orientation; the canonical form of each monomial that
+    :func:`reduce_monomial` has met, keyed by ``(a, b1, c, orientation)``
+    and held as a tuple of ``(Monomial, LaurentPoly)`` pairs; and the EKF
     expansion of each K-binomial unit e^(a) [K1; b] f^(c) met, keyed by
     ``(a, b, c)``.  An expansion that raises stores nothing, and all three
     die with the context.  A context is safe to share across threads: each
@@ -90,7 +90,7 @@ class Context:
         self.idempotents = [(b1, d - b1) for b1 in range(d + 1)]
         self._basis: dict[str, tuple[Monomial, ...]] = {}
         self._straightened: dict[
-            tuple[int, int, int], tuple[tuple[Monomial, LaurentPoly], ...]
+            tuple[int, int, int, str], tuple[tuple[Monomial, LaurentPoly], ...]
         ] = {}
         self._kbinom_units: dict[tuple[int, int, int], Element] = {}
 
@@ -320,11 +320,21 @@ def reduction_defect(ctx: Context, quad: tuple[int, int, int, int], orientation:
 def reduce_monomial(
     ctx: Context, quad: tuple[int, int, int, int], orientation: str = EKF
 ) -> Element:
-    """A monomial in the canonical basis: itself if canonical, else :meth:`Context._straighten`."""
+    """A monomial in the canonical basis: itself if canonical, else :meth:`Context._straighten`.
+
+    Each monomial is reduced once per context (see :class:`Context`); one
+    whose straightening raises is not stored.
+    """
     mono = _checked_monomial(ctx, quad, orientation)
-    if ctx.is_canonical(mono):
-        return Element._raw(ctx, orientation, {mono: LaurentPoly.one()})
-    return ctx._straighten(mono)
+    key = (mono.a, mono.b1, mono.c, orientation)
+    terms = ctx._straightened.get(key)
+    if terms is None:
+        if ctx.is_canonical(mono):
+            terms = ((mono, LaurentPoly.one()),)
+        else:
+            terms = tuple(ctx._straighten(mono).terms.items())
+        ctx._straightened[key] = terms
+    return Element._raw(ctx, orientation, dict(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +352,6 @@ def _fe_binomial(c: int, a: int, weight: int, t: int) -> LaurentPoly:
     return gauss_binomial(c - a - weight, t)
 
 
-def _straightened_terms(
-    ctx: Context, a: int, b1: int, c: int
-) -> tuple[tuple[Monomial, LaurentPoly], ...]:
-    """The terms of e^(a) K[b1, d-b1] f^(c) after :func:`reduce_monomial`.
-
-    Each is straightened once per context (see :class:`Context`); a
-    monomial whose straightening raises is not stored.
-    """
-    reduced = ctx._straightened.get((a, b1, c))
-    if reduced is None:
-        reduced = tuple(reduce_monomial(ctx, (a, b1, ctx.d - b1, c), EKF).terms.items())
-        ctx._straightened[(a, b1, c)] = reduced
-    return reduced
-
-
 def _add_monomial_product(
     ctx: Context,
     m: Monomial,
@@ -370,7 +365,8 @@ def _add_monomial_product(
     [c-a'-w; t] [a+a'-t; a] [c+c'-t; c'] e^(a+a'-t) K[b1'-c+t, b2'+c-t] f^(c+c'-t)
     with w = b1' - b2': the middle f^(c) e^(a') commutes by :func:`_fe_binomial`,
     and the adjacent divided powers merge.  Terms whose idempotent index would
-    be negative vanish; the rest are straightened by :func:`_straightened_terms`.
+    be negative vanish; the rest are straightened by :func:`reduce_monomial`,
+    whose memo is read here directly.
 
     [a+a'-t; a] is 1 when a = 0 or a' = t, and [c+c'-t; c'] is 1 when c' = 0
     or c = t, so neither is computed then; nor is a product by the shared
@@ -391,10 +387,10 @@ def _add_monomial_product(
             coeff = coeff * gauss_binomial(c + c2 - t, c2)
         if scalar is not one:
             coeff = coeff * scalar
-        key = (a + a2 - t, b1 - c + t, c + c2 - t)
-        reduced = straightened.get(key)
+        a3, b3, c3 = a + a2 - t, b1 - c + t, c + c2 - t
+        reduced = straightened.get((a3, b3, c3, EKF))
         if reduced is None:
-            reduced = _straightened_terms(ctx, *key)
+            reduced = reduce_monomial(ctx, (a3, b3, ctx.d - b3, c3)).terms.items()
         for mono, r in reduced:
             r = coeff if r is one else r * coeff
             if mono in terms:
@@ -498,11 +494,11 @@ def _kbinom_unit(ctx: Context, a: int, b: int, c: int) -> Element:
     unit = ctx._kbinom_units.get((a, b, c))
     if unit is None:
         terms: dict[Monomial, LaurentPoly] = {}
-        for b1, _ in ctx.idempotents:
+        for b1, b2 in ctx.idempotents:
             coeff = gauss_binomial(b1, b)
             if coeff.is_zero:
                 continue
-            for mono, r in _straightened_terms(ctx, a, b1, c):
+            for mono, r in reduce_monomial(ctx, (a, b1, b2, c)).terms.items():
                 _add_term(terms, mono, r * coeff)
         unit = ctx._kbinom_units[(a, b, c)] = Element._raw(ctx, EKF, terms)
     return unit

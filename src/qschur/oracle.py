@@ -204,13 +204,13 @@ def matrix_of_divided_power(rep: OracleRep, gen: str, m: int) -> LaurentMatrix:
     return result
 
 
-def diagonal_kbinom(matrix: LaurentMatrix, c: int, t: int) -> LaurentMatrix:
-    """The K-binomial of an invertible diagonal matrix with entries v^m.
+def diagonal_kbinom(matrix: LaurentMatrix, t: int) -> LaurentMatrix:
+    """The K-binomial [K; t] of an invertible diagonal matrix K with entries v^m.
 
-    Entrywise this is the Gaussian binomial [m + c; t].
+    Entrywise this is the Gaussian binomial [m; t].
     """
     exps = matrix.diagonal_exponents()
-    return LaurentMatrix.diagonal([gauss_binomial(m + c, t) for m in exps])
+    return LaurentMatrix.diagonal([gauss_binomial(m, t) for m in exps])
 
 
 def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
@@ -222,7 +222,7 @@ def idempotent_projector(rep: OracleRep, b1: int, b2: int) -> LaurentMatrix:
     cached = rep._dp_cache.get(key)
     if cached is not None:
         return cached
-    proj = diagonal_kbinom(rep.k1, 0, b1) * diagonal_kbinom(rep.k2, 0, b2)
+    proj = diagonal_kbinom(rep.k1, b1) * diagonal_kbinom(rep.k2, b2)
     for (r, c), val in proj.entries.items():
         if r != c or val != LaurentPoly.one():
             raise RuntimeError("idempotent image is not a 0/1 projector")

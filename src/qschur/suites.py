@@ -297,14 +297,12 @@ def _straightened_quads(ctx: Context, orientation: str):
 
 def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     checks: list[dict] = []
-    # Both checks read one straightening per quadruple; a raise is not kept, so each meets it.
-    straightened = cache(algebra.reduce_monomial)
     for orientation in (EKF, FKE):
         tag = orientation.lower()
 
         def structural(orientation=orientation):
             for quad in _straightened_quads(ctx, orientation):
-                for m in straightened(ctx, quad, orientation).terms:
+                for m in algebra.reduce_monomial(ctx, quad, orientation).terms:
                     if m.fake_degree > d or min(m.a, m.b1, m.b2, m.c) < 0 or m.b1 + m.b2 != d:
                         return f"reduce{quad} emitted non-canonical {m}"
             return None
@@ -316,7 +314,7 @@ def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                 a, b1, b2, c = quad
                 projector = oracle.idempotent_projector(rep, b1, b2)
                 raw = oracle._word_matrix(rep, orientation, a, projector, c)
-                red = straightened(ctx, quad, orientation)
+                red = algebra.reduce_monomial(ctx, quad, orientation)
                 if raw != oracle.matrix_of_element(rep, red):
                     return f"straightening of {quad} ({orientation}) disagrees"
             return None
@@ -406,7 +404,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         ]
         rng.shuffle(triples)
         # [K1;b] depends on b alone, so each is built once for every word around it.
-        kbinom = cache(lambda b: oracle.diagonal_kbinom(rep.k1, 0, b))
+        kbinom = cache(lambda b: oracle.diagonal_kbinom(rep.k1, b))
         for a, b, c in triples[:25] + algebra.kbinom_index_set(ctx):
             elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
             raw = oracle._word_matrix(rep, EKF, a, kbinom(b), c)

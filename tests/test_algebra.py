@@ -445,18 +445,75 @@ def fill_memo_through_kbinom(ctx):
     return ctx._straightened
 
 
+def fill_memo_through_reduce_monomial(ctx):
+    """Reduce every quadruple with a, c <= d + 1 in both orientations; skip
+    the ones that raise."""
+    d = ctx.d
+    for a, b1, c in itertools.product(range(d + 2), range(d + 1), range(d + 2)):
+        for orientation in (EKF, FKE):
+            with contextlib.suppress(IndexOutOfRange):  # only when unstraightened
+                reduce_monomial(ctx, (a, b1, d - b1, c), orientation)
+    return ctx._straightened
+
+
 @pytest.mark.parametrize("unstraightened", [False, True])
 def test_straightening_memo_holds_reduce_monomial(unstraightened):
-    # A straightening that raises must leave no entry: reduce_monomial would
-    # raise again below.
-    for fill in (fill_straightening_memo, fill_memo_through_kbinom):
+    # Each entry is checked against a fresh context, since this one would read
+    # the entry itself.  A straightening that raises must leave no entry: the
+    # fresh reduction would raise below.
+    fills = (fill_straightening_memo, fill_memo_through_kbinom, fill_memo_through_reduce_monomial)
+    for fill in fills:
         for d in range(6):
             ctx = _UnstraightenedContext(d) if unstraightened else Context(d)
             memo = fill(ctx)
             assert memo
-            for (a, b1, c), entry in memo.items():
+            for (a, b1, c, orientation), entry in memo.items():
                 assert isinstance(entry, tuple)
-                assert dict(entry) == reduce_monomial(ctx, (a, b1, d - b1, c), EKF).terms
+                fresh = reduce_monomial(type(ctx)(d), (a, b1, d - b1, c), orientation)
+                assert dict(entry) == fresh.terms
+            both = fill is fill_memo_through_reduce_monomial
+            assert {key[3] for key in memo} == ({EKF, FKE} if both else {EKF})
+
+
+@pytest.mark.parametrize("orientation", [EKF, FKE])
+def test_reduce_monomial_straightens_each_monomial_once_per_context(monkeypatch, orientation):
+    calls = []
+    healthy = Context._straighten
+
+    def counted(ctx, m):
+        calls.append(m)
+        return healthy(ctx, m)
+
+    monkeypatch.setattr(Context, "_straighten", counted)
+    for d in range(5):
+        ctx = Context(d)
+        for quad in suites._straightened_quads(ctx, orientation):
+            first = reduce_monomial(ctx, quad, orientation)
+            assert calls
+            calls.clear()
+            assert reduce_monomial(ctx, quad, orientation) == first
+            assert calls == []
+
+
+def test_an_element_from_reduce_monomial_does_not_alias_the_memo():
+    ctx = Context(2)
+    planted = {EKF: Monomial(0, 2, 0, 0, EKF), FKE: Monomial(0, 0, 2, 0, FKE)}
+    for quad, orientation in [
+        ((1, 1, 1, 1), EKF),  # straightens to (v + v^-1) K[2,0]
+        ((2, 2, 0, 2), EKF),  # straightens to zero
+        ((1, 1, 1, 0), EKF),  # canonical
+        ((1, 1, 1, 1), FKE),
+        ((0, 1, 1, 1), FKE),
+    ]:
+        a, b1, _, c = quad
+        first = reduce_monomial(ctx, quad, orientation)
+        expected = dict(first.terms)
+        entry = ctx._straightened[a, b1, c, orientation]
+        first.terms.clear()
+        first.terms[planted[orientation]] = V(3)
+        assert reduce_monomial(ctx, quad, orientation).terms == expected
+        assert ctx._straightened[a, b1, c, orientation] == entry
+        assert dict(entry) == expected
 
 
 def test_straightening_memo_is_per_context():
@@ -479,9 +536,28 @@ def test_a_wrong_memo_entry_is_caught_by_the_oracle():
     fill_straightening_memo(ctx)
     assert all(c["pass"] for c in suites.suite_oracle(2, ctx, rep))
     key, ((mono, coeff), *rest) = next(iter(ctx._straightened.items()))
+    a, b1, c, orientation = key
+    assert orientation == EKF  # products straighten in EKF
     ctx._straightened[key] = ((mono, -coeff), *rest)
+    fresh = reduce_monomial(Context(2), (a, b1, 2 - b1, c), orientation)
+    assert dict(ctx._straightened[key]) != fresh.terms
     checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
     assert checks["orc-homomorphism"] is False
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_memo_entry_is_caught_by_the_reduction_suite(d):
+    rep = suites._build_rep(d, None)
+    assert all(c["pass"] for c in suites.suite_reduction(d, Context(d), rep))
+    ctx = Context(d)
+    quad = next(
+        q for q in suites._straightened_quads(ctx, EKF) if reduce_monomial(Context(d), q)
+    )
+    a, b1, _, c = quad
+    entry = tuple((m, -u) for m, u in reduce_monomial(Context(d), quad).terms.items())
+    ctx._straightened[a, b1, c, EKF] = entry
+    checks = suites.suite_reduction(d, ctx, rep)
+    assert [c["id"] for c in checks if not c["pass"]] == ["orc-reduction-matches-raw-word-ekf"]
 
 
 @pytest.mark.parametrize("orientation", [EKF, FKE])

@@ -463,7 +463,7 @@ def test_a_kbinom_word_is_its_plain_product(d):
     rep = build_rep(d)
     for a in range(d + 3):
         for b in range(d + 3):
-            middle = diagonal_kbinom(rep.k1, 0, b)
+            middle = diagonal_kbinom(rep.k1, b)
             for c in range(d + 3):
                 assert oracle._word_matrix(rep, EKF, a, middle, c) == (
                     matrix_of_divided_power(rep, "e", a)
@@ -474,7 +474,7 @@ def test_a_kbinom_word_is_its_plain_product(d):
 
 def test_diagonal_kbinom_matches_scalar():
     rep = build_rep(2)
-    kb = diagonal_kbinom(rep.k1, 0, 1)
+    kb = diagonal_kbinom(rep.k1, 1)
     # eigenvalues v^2, v, 1, v give [2], [1], [0], [1]
     assert kb == LaurentMatrix.diagonal(
         [quantum_int(2), quantum_int(1), quantum_int(0), quantum_int(1)]
@@ -503,7 +503,7 @@ def test_idempotent_projector_raises_on_a_non_projector(monkeypatch):
     rep = build_rep(2)
     assert ("K", 1, 1) not in rep._dp_cache
     monkeypatch.setattr(
-        oracle, "diagonal_kbinom", lambda matrix, c, t: LaurentMatrix.identity(rep.dim).scale(2)
+        oracle, "diagonal_kbinom", lambda matrix, t: LaurentMatrix.identity(rep.dim).scale(2)
     )
     with pytest.raises(RuntimeError, match="projector"):
         idempotent_projector(rep, 1, 1)
