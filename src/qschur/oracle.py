@@ -388,13 +388,14 @@ def _run(checks: list, cid: str, fn) -> None:
         checks.append({"id": cid, "pass": False, "witness": witness})
 
 
-def _matrices_equal(lhs: LaurentMatrix, rhs: LaurentMatrix) -> str | None:
-    """None if lhs == rhs, else a witness naming the first entry that differs."""
+def _differs(lhs: _Combination, rhs: _Combination) -> str | None:
+    """None if lhs == rhs, else a witness naming the smallest key where they
+    differ, a monomial or a cell, with both coefficients there."""
     if lhs == rhs:
         return None
-    (r, c), _ = min((lhs - rhs).entries.items())
+    key = min((lhs - rhs)._map())
     zero = LaurentPoly.zero()
-    return f"entry ({r},{c}): {lhs.entries.get((r, c), zero)} != {rhs.entries.get((r, c), zero)}"
+    return f"at {key!r}: {lhs._map().get(key, zero)} != {rhs._map().get(key, zero)}"
 
 
 def _minimal_poly(ident, base, roots):
@@ -421,21 +422,19 @@ def verify_defining_relations(rep: OracleRep) -> dict:
     v = LaurentPoly.v
     e, f, k1, k1i, k2, k2i = rep.e, rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv
 
-    _run(checks, "k1-k2-commute", lambda: _matrices_equal(k1 * k2, k2 * k1))
-    _run(checks, "k1-inverse", lambda: _matrices_equal(k1 * k1i, ident))
-    _run(checks, "k2-inverse", lambda: _matrices_equal(k2 * k2i, ident))
-    _run(checks, "k1-conj-e", lambda: _matrices_equal(k1 * e * k1i, e.scale(v(1))))
-    _run(checks, "k1-conj-f", lambda: _matrices_equal(k1 * f * k1i, f.scale(v(-1))))
-    _run(checks, "k2-conj-e", lambda: _matrices_equal(k2 * e * k2i, e.scale(v(-1))))
-    _run(checks, "k2-conj-f", lambda: _matrices_equal(k2 * f * k2i, f.scale(v(1))))
+    _run(checks, "k1-k2-commute", lambda: _differs(k1 * k2, k2 * k1))
+    _run(checks, "k1-inverse", lambda: _differs(k1 * k1i, ident))
+    _run(checks, "k2-inverse", lambda: _differs(k2 * k2i, ident))
+    _run(checks, "k1-conj-e", lambda: _differs(k1 * e * k1i, e.scale(v(1))))
+    _run(checks, "k1-conj-f", lambda: _differs(k1 * f * k1i, f.scale(v(-1))))
+    _run(checks, "k2-conj-e", lambda: _differs(k2 * e * k2i, e.scale(v(-1))))
+    _run(checks, "k2-conj-f", lambda: _differs(k2 * f * k2i, f.scale(v(1))))
     _run(
         checks,
         "ef-commutator",
-        lambda: _matrices_equal(
-            e * f - f * e, (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))
-        ),
+        lambda: _differs(e * f - f * e, (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))),
     )
-    _run(checks, "k1k2-central-scalar", lambda: _matrices_equal(k1 * k2, ident.scale(v(rep.d))))
+    _run(checks, "k1k2-central-scalar", lambda: _differs(k1 * k2, ident.scale(v(rep.d))))
     roots = range(rep.d + 1)
-    _run(checks, "k1-minimal-poly", lambda: _matrices_equal(_minimal_poly(ident, k1, roots), zero))
+    _run(checks, "k1-minimal-poly", lambda: _differs(_minimal_poly(ident, k1, roots), zero))
     return _report(rep.d, "defining-relations", checks)

@@ -18,7 +18,7 @@ from math import comb
 from . import algebra, oracle
 from .algebra import EKF, FKE, Context, identity_element, k_element, multiply, zero_element
 from .laurent import LaurentPoly, gauss_binomial, quantum_int
-from .oracle import _crashed, _run
+from .oracle import _crashed, _differs, _run
 
 SUITE_GUARDS = {
     "relations": 6,
@@ -34,14 +34,6 @@ FAULTS = (None, "skip-reduction", "broken-module")
 def schur_dimension(d: int) -> int:
     """The dimension of the degree-d algebra: C(d+3, 3)."""
     return comb(d + 3, 3)
-
-
-def _elements_equal(x, y) -> str | None:
-    if x == y:
-        return None
-    from .textio import format_element
-
-    return f"{format_element(x)} != {format_element(y)}"
 
 
 def _weyl_with_short_e(d: int):
@@ -120,24 +112,16 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         ("k", kk, kki, 2, k_spectrum),
     )
     for name, k, ki, _, _ in families:
-        _run(checks, f"sym-{name}-inverse", lambda k=k, ki=ki: _elements_equal(k * ki, ident))
-    _run(
-        checks,
-        "sym-k-is-scaled-k1-squared",
-        lambda: _elements_equal(kk, (k1 * k1).scale(v(-d))),
-    )
+        _run(checks, f"sym-{name}-inverse", lambda k=k, ki=ki: _differs(k * ki, ident))
+    _run(checks, "sym-k-is-scaled-k1-squared", lambda: _differs(kk, (k1 * k1).scale(v(-d))))
     for name, k, ki, weight, _ in families:
         for gen, x, w in (("e", e, weight), ("f", f, -weight)):
             _run(
                 checks,
                 f"sym-{name}-conj-{gen}",
-                lambda k=k, ki=ki, x=x, w=w: _elements_equal(k * x * ki, x.scale(v(w))),
+                lambda k=k, ki=ki, x=x, w=w: _differs(k * x * ki, x.scale(v(w))),
             )
-    _run(
-        checks,
-        "sym-k1k2-central-scalar",
-        lambda: _elements_equal(k1 * k2, ident.scale(v(d))),
-    )
+    _run(checks, "sym-k1k2-central-scalar", lambda: _differs(k1 * k2, ident.scale(v(d))))
 
     # ef - fe = (K - K^-1) / (v - v^-1), with K written through each family.
     numerators = {
@@ -149,7 +133,7 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         _run(
             checks,
             f"sym-ef-commutator-{name}-form",
-            lambda numerator=numerator: _elements_equal(
+            lambda numerator=numerator: _differs(
                 e * f - f * e, numerator().exact_div_scalar(v(1) - v(-1))
             ),
         )
@@ -158,7 +142,7 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         _run(
             checks,
             f"sym-{name}-minimal-poly",
-            lambda k=k, roots=roots: _elements_equal(oracle._minimal_poly(ident, k, roots), zero),
+            lambda k=k, roots=roots: _differs(oracle._minimal_poly(ident, k, roots), zero),
         )
     _run(
         checks,
@@ -216,7 +200,7 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         total = zero_element(ctx)
         for b1, b2 in ctx.idempotents:
             total = total + algebra.idempotent_element(ctx, b1, b2)
-        return _elements_equal(total, ident)
+        return _differs(total, ident)
 
     _run(checks, "sym-partition-of-unity", partition_of_unity)
 
@@ -574,7 +558,7 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     def check(cid, sides):
         # sides() returns the identity's two sides; it runs here, under _run,
         # so the loop variables it reads are still current.
-        _run(checks, cid, lambda: _elements_equal(*sides()))
+        _run(checks, cid, lambda: _differs(*sides()))
 
     for name, sign in (("K1", 1), ("K2", -1)):
         for n in range(-bound, bound + 1):

@@ -152,8 +152,8 @@ def test_criterion_9_negative_controls(monkeypatch):
     "fault, prefix, failing",
     [
         (None, "e0b40de54e35d310", 0),
-        ("broken-module", "9ac364b56c790a90", 10),
-        ("skip-reduction", "047ecea9af7d8b70", 213),
+        ("broken-module", "81be84b4e1cc59dd", 10),
+        ("skip-reduction", "eeb6085257547c58", 213),
     ],
 )
 def test_check_outcomes_match_their_golden_digest(fault, prefix, failing):

@@ -38,7 +38,7 @@ from qschur.algebra import (
     zero_element,
 )
 from qschur import algebra, oracle, suites
-from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial
+from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial, quantum_int
 from qschur.suites import _UnstraightenedContext, run_suite
 
 V = LaurentPoly.v
@@ -901,6 +901,36 @@ def test_the_mutation_matrix(monkeypatch, row):
         assert len(report["checks"]) == 452
         failed = {c["id"].split("/")[0] for c in report["checks"] if not c["pass"]}
         assert failed == failing, (d, failed)
+
+
+def _divided_power_step_failures(d):
+    """Each (gen, m, side) with m <= d where x^(m) x or x x^(m) is not [m+1] x^(m+1)."""
+    ctx = Context(d)
+    failures = []
+    for gen in ("e", "f"):
+        x = algebra.generator_element(ctx, gen)
+        for m in range(d + 1):
+            xm = algebra.divided_power_element(ctx, gen, m)
+            want = algebra.divided_power_element(ctx, gen, m + 1).scale(quantum_int(m + 1))
+            for side, got in (("right", multiply(xm, x)), ("left", multiply(x, xm))):
+                if got != want:
+                    failures.append((gen, m, side))
+    return failures
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_a_divided_power_times_its_generator_is_the_next_one(d):
+    # f^(m) f and f f^(m), 0 < m < d, are products whose merge binomial
+    # [c+c'-t; c'] = [m+1] is not 1 with t < c; no suite meets one.
+    assert _divided_power_step_failures(d) == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dropping_the_merge_binomial_fails_the_divided_power_step(d, monkeypatch):
+    owner, name, wrap, _ = MUTATION_MATRIX["merge-binomial-dropped-when-c-above-t"]
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    want = [("f", m, side) for m in range(1, d) for side in ("right", "left")]
+    assert _divided_power_step_failures(d) == want
 
 
 def test_change_from_accepts_out_of_range():

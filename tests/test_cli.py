@@ -497,7 +497,7 @@ def test_verify_reports_a_wrong_k2_inverse(d, capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     failed = dict(line.split("  ", 2)[1:] for line in lines[:-1] if line.startswith("FAIL"))
-    assert failed["relations/orc-k2-inverse"].startswith("[entry ")
+    assert failed["relations/orc-k2-inverse"].startswith("[at (")
     commutator = failed["relations/orc-ef-commutator"]
     assert commutator.startswith("[NotDivisible: ")
     assert commutator.endswith(" is not divisible by v - v^-1]")

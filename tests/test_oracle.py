@@ -1,5 +1,7 @@
 """The matrix representations and their verification machinery."""
 
+import hashlib
+import json
 import operator
 from functools import lru_cache
 from types import MappingProxyType
@@ -146,6 +148,50 @@ def test_mutated_rep_fails_with_witness():
     failed = {c["id"]: c for c in report["checks"] if not c["pass"]}
     assert any("commutator" in cid or "conj" in cid for cid in failed)
     assert all("witness" in c for c in failed.values())
+
+
+@pytest.mark.parametrize("orientation", [EKF, FKE])
+def test_differs_is_none_for_equal_elements(orientation):
+    ctx = Context(3)
+    e, f = (algebra.generator_element(ctx, gen, orientation) for gen in ("e", "f"))
+    assert oracle._differs(e * f - f * e, e * f - f * e) is None
+    assert oracle._differs(zero_element(ctx, orientation), zero_element(ctx, orientation)) is None
+
+
+def test_differs_is_none_for_equal_matrices():
+    rep = build_rep(3)
+    assert oracle._differs(rep.k1 * rep.k1_inv, LaurentMatrix.identity(rep.dim)) is None
+
+
+def test_differs_names_the_smallest_differing_monomial():
+    ctx = Context(2)
+    shared, small, large = Monomial(0, 0, 2, 0), Monomial(0, 1, 1, 0), Monomial(1, 1, 1, 0)
+    lhs = Element(ctx, EKF, {shared: ONE, small: V(1), large: 2})
+    rhs = Element(ctx, EKF, {shared: ONE, large: 3})
+    at = "at Monomial(a=0, b1=1, b2=1, c=0, orientation='EKF'): "
+    assert oracle._differs(lhs, rhs) == at + "v != 0"
+    assert oracle._differs(rhs, lhs) == at + "0 != v"
+    fke = Element(ctx, FKE, {Monomial(1, 1, 1, 0, FKE): V(-2), Monomial(0, 2, 0, 1, FKE): 3})
+    at = "at Monomial(a=0, b1=2, b2=0, c=1, orientation='FKE'): "
+    assert oracle._differs(fke, zero_element(ctx, FKE)) == at + "3 != 0"
+
+
+def test_differs_names_the_smallest_differing_cell():
+    lhs = LaurentMatrix(3, {(0, 0): ONE, (1, 2): V(-1), (2, 0): 5})
+    rhs = LaurentMatrix(3, {(0, 0): ONE, (1, 0): V(2) + ONE, (1, 2): V(-1), (2, 0): 4})
+    assert oracle._differs(lhs, rhs) == "at (1, 0): 0 != v^2 + 1"
+    assert oracle._differs(lhs, LaurentMatrix(3)) == "at (0, 0): 1 != 0"
+
+
+def test_a_faulted_report_names_one_term_per_failed_equality():
+    # Most lusztig identities fail under skip-reduction; each witness names
+    # one term, so it stays short however large the two sides grow.
+    checks = suites.run_suites(list(suites.SUITES), 6, fault="skip-reduction")["checks"]
+    failed = [c for c in checks if not c["pass"]]
+    assert len(checks) == 452 and len(failed) == 225
+    ids = json.dumps([c["id"] for c in failed]).encode()
+    assert hashlib.sha256(ids).hexdigest().startswith("f2ae8e97e249242e")
+    assert max(len(c["witness"]) for c in failed) <= 400
 
 
 def _first_omittable_root(ident, base, roots, witness):
