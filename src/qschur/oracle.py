@@ -398,6 +398,17 @@ def _differs(lhs: _Combination, rhs: _Combination) -> str | None:
     return f"at {key!r}: {lhs._map().get(key, zero)} != {rhs._map().get(key, zero)}"
 
 
+def _first_difference(cases: Iterable) -> str | None:
+    """None if lhs == rhs in every (instance, lhs, rhs) case, else
+    ``<instance>: <_differs witness>`` for the first case that differs; no
+    case after it is read, and only its instance is formatted."""
+    for instance, lhs, rhs in cases:
+        witness = _differs(lhs, rhs)
+        if witness is not None:
+            return f"{instance}: {witness}"
+    return None
+
+
 def _minimal_poly(ident, base, roots):
     """The product of (base - v^r) over the roots, in the ring whose unit is ident.
 

@@ -7,6 +7,12 @@ Reports follow one schema: ``{"d", "suite", "checks": [{"id", "pass",
 "witness"?}], "pass"}``.  Every check is wrapped so that an unexpected
 exception becomes a failed check instead of a crash; the fault-injection
 knobs exist precisely so tests can prove the suites catch broken builds.
+
+Every equality of two elements or two matrices goes through
+:func:`oracle._differs`.  A check of one identity returns its witness; a
+check over many instances is a generator of ``(instance, lhs, rhs)``
+cases, read by :func:`oracle._first_difference`, which names the first
+failing instance in visiting order and then the first differing term.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from math import comb
 from . import algebra, oracle
 from .algebra import EKF, FKE, Context, identity_element, k_element, multiply, zero_element
 from .laurent import LaurentPoly, gauss_binomial, quantum_int
-from .oracle import _crashed, _differs, _run
+from .oracle import _crashed, _differs, _first_difference, _run
 
 SUITE_GUARDS = {
     "relations": 6,
@@ -75,9 +81,10 @@ def _omittable_root(ident, base, roots, witness: str) -> str | None:
     """None if base is killed by no product that leaves out one root, else a witness.
 
     ident and base are :class:`laurent._Combination` values with a product,
-    as for :func:`oracle._minimal_poly`.  If any proper sub-product of the minimal polynomial vanished, a maximal
-    one (omitting a single root) would vanish too; ``witness`` is formatted
-    with the first root that can be left out.
+    as for :func:`oracle._minimal_poly`.  If any proper sub-product of the
+    minimal polynomial vanished, a maximal one (omitting a single root)
+    would vanish too; ``witness`` is formatted with the first root that can
+    be left out.
     """
     factors = [base - ident.scale(LaurentPoly.v(r)) for r in roots]
     # By associativity, leaving out a root is the product ahead of it times the one after it.
@@ -157,12 +164,12 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 
     ident_m = oracle.LaurentMatrix.identity(rep.dim)
     kmat = (rep.k1 * rep.k1).scale(v(-d))
-
-    def oracle_k_minimal_poly():
-        acc = oracle._minimal_poly(ident_m, kmat, k_spectrum)
-        return None if acc.is_zero else f"nonzero entries {sorted(acc.entries)[:3]}"
-
-    _run(checks, "orc-k-minimal-poly", oracle_k_minimal_poly)
+    zero_m = oracle.LaurentMatrix(rep.dim)
+    _run(
+        checks,
+        "orc-k-minimal-poly",
+        lambda: _differs(oracle._minimal_poly(ident_m, kmat, k_spectrum), zero_m),
+    )
 
     def oracle_spectrum():
         got = sorted(set(rep.k1.diagonal_exponents()))
@@ -180,9 +187,9 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     _run(
         checks,
         "orc-symbolic-agreement",
-        lambda: None
-        if oracle.matrix_of_element(rep, e * f - f * e) == rep.e * rep.f - rep.f * rep.e
-        else "symbolic commutator disagrees with the matrix commutator",
+        lambda: _differs(
+            oracle.matrix_of_element(rep, e * f - f * e), rep.e * rep.f - rep.f * rep.e
+        ),
     )
     return checks
 
@@ -205,19 +212,12 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     _run(checks, "sym-partition-of-unity", partition_of_unity)
 
     def orthogonality():
-        for p in ctx.idempotents:
-            for q in ctx.idempotents:
-                want = (
-                    algebra.idempotent_element(ctx, *p) if p == q else zero_element(ctx)
-                )
-                got = multiply(
-                    algebra.idempotent_element(ctx, *p), algebra.idempotent_element(ctx, *q)
-                )
-                if got != want:
-                    return f"K{p} * K{q} is wrong"
-        return None
+        units = {p: algebra.idempotent_element(ctx, *p) for p in ctx.idempotents}
+        for p, x in units.items():
+            for q, y in units.items():
+                yield (p, q), multiply(x, y), x if p == q else zero_element(ctx)
 
-    _run(checks, "sym-orthogonal-idempotents", orthogonality)
+    _run(checks, "sym-orthogonal-idempotents", lambda: _first_difference(orthogonality()))
 
     def kbinom_vanishing():
         # The image of [K1;b1][K2;b2] must vanish whenever b1 + b2 = d + 1;
@@ -234,32 +234,28 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 
     def identity_neutral():
         rng = random.Random(20240411 + d)
-        for _ in range(5):
+        for i in range(5):
             x = algebra.random_element(ctx, rng)
-            if multiply(ident, x) != x or multiply(x, ident) != x:
-                return "identity element is not neutral"
-        return None
+            yield (i, "1 * x"), multiply(ident, x), x
+            yield (i, "x * 1"), multiply(x, ident), x
 
-    _run(checks, "sym-identity-neutral", identity_neutral)
+    _run(checks, "sym-identity-neutral", lambda: _first_difference(identity_neutral()))
 
     def projectors():
         total = oracle.LaurentMatrix(rep.dim)
         mats = {}
-        for b1, b2 in ctx.idempotents:
-            proj = oracle.idempotent_projector(rep, b1, b2)
-            mats[(b1, b2)] = proj
-            if not (proj * proj) == proj:
-                return f"projector K[{b1},{b2}] is not idempotent"
+        for p in ctx.idempotents:
+            proj = mats[p] = oracle.idempotent_projector(rep, *p)
+            yield p, proj * proj, proj
             total = total + proj
-        if total != oracle.LaurentMatrix.identity(rep.dim):
-            return "projectors do not sum to the identity matrix"
+        yield "sum", total, oracle.LaurentMatrix.identity(rep.dim)
+        zero = oracle.LaurentMatrix(rep.dim)
         for p, mp in mats.items():
             for q, mq in mats.items():
-                if p != q and not (mp * mq).is_zero:
-                    return f"projectors {p} and {q} are not orthogonal"
-        return None
+                if p != q:
+                    yield (p, q), mp * mq, zero
 
-    _run(checks, "orc-projector-partition", projectors)
+    _run(checks, "orc-projector-partition", lambda: _first_difference(projectors()))
     return checks
 
 
@@ -299,11 +295,10 @@ def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                 projector = oracle.idempotent_projector(rep, b1, b2)
                 raw = oracle._word_matrix(rep, orientation, a, projector, c)
                 red = algebra.reduce_monomial(ctx, quad, orientation)
-                if raw != oracle.matrix_of_element(rep, red):
-                    return f"straightening of {quad} ({orientation}) disagrees"
-            return None
+                yield quad, raw, oracle.matrix_of_element(rep, red)
 
-        _run(checks, f"orc-reduction-matches-raw-word-{tag}", oracle_agreement)
+        cid = f"orc-reduction-matches-raw-word-{tag}"
+        _run(checks, cid, lambda: _first_difference(oracle_agreement()))
     return checks
 
 
@@ -365,15 +360,12 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     _run(checks, "sym-kbinom-change-unitriangular", unitriangular)
 
     def round_trip():
-        for _ in range(10):
+        for i in range(10):
             x = algebra.random_element(ctx, rng, max_terms=4)
             coords = algebra.change_to_kbinom_basis(x)
-            back = algebra.change_from_kbinom_basis(ctx, coords)
-            if back != x:
-                return "change_from(change_to(x)) != x"
-        return None
+            yield i, algebra.change_from_kbinom_basis(ctx, coords), x
 
-    _run(checks, "sym-kbinom-round-trip", round_trip)
+    _run(checks, "sym-kbinom-round-trip", lambda: _first_difference(round_trip()))
 
     def closure():
         # Every K-binomial unit, and 25 sampled out-of-range triples (which
@@ -392,11 +384,9 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         for a, b, c in triples[:25] + algebra.kbinom_index_set(ctx):
             elt = algebra.change_from_kbinom_basis(ctx, {(a, b, c): LaurentPoly.one()})
             raw = oracle._word_matrix(rep, EKF, a, kbinom(b), c)
-            if oracle.matrix_of_element(rep, elt) != raw:
-                return f"ingested K-binomial word {(a, b, c)} disagrees with raw word"
-        return None
+            yield (a, b, c), oracle.matrix_of_element(rep, elt), raw
 
-    _run(checks, "orc-kbinom-closure", closure)
+    _run(checks, "orc-kbinom-closure", lambda: _first_difference(closure()))
     return checks
 
 
@@ -408,6 +398,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     checks: list[dict] = []
     rng = random.Random(seed or (1009 + d))
+    zero, zero_m = zero_element(ctx), oracle.LaurentMatrix(rep.dim)
 
     def homomorphism():
         # Every pair is multiplied, but matrices only for the first visited
@@ -428,62 +419,55 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             for j, (n, y) in enumerate(zip(basis, units)):
                 product = multiply(x, y)
                 if right != ends[j][0]:
-                    ok = product.is_zero
+                    # Most pairs do not meet; only a nonzero product is a case.
+                    if product:
+                        yield (m, n), product, zero
                 elif (i, j) in held:
-                    ok = product == held.pop((i, j))
+                    yield (m, n), product, held.pop((i, j))
                 else:
-                    ok = oracle.matrix_of_element(rep, product) == matrices[i] * matrices[j]
+                    yield (m, n), oracle.matrix_of_element(rep, product), matrices[i] * matrices[j]
                     if (tau[j], tau[i]) != (i, j):
                         held[(tau[j], tau[i])] = algebra.anti_involution(product)
-                if not ok:
-                    return f"product of basis monomials {m} and {n} disagrees"
         met = sorted({b for pair in ends for b in pair})
         projectors = {b: oracle.idempotent_projector(rep, b, d - b) for b in met}
         for p, mp in projectors.items():
             for q, mq in projectors.items():
-                if p < q and not (mp * mq).is_zero:
-                    return f"projectors K[{p},{d - p}] and K[{q},{d - q}] are not orthogonal"
+                if p < q:
+                    yield ((p, d - p), (q, d - q)), mp * mq, zero_m
         form = oracle.contravariant_form(rep)
         for i, (m, word, image, (left, right)) in enumerate(zip(basis, matrices, tau, ends)):
-            if not projectors[left] * word == word == word * projectors[right]:
-                return f"basis word {m} is not fixed by its idempotents"
+            yield ("left idempotent", m), projectors[left] * word, word
+            yield ("right idempotent", m), word, word * projectors[right]
             # D is diagonal, so the identity of w = tau w' is the transpose of the one on w'.
-            transposed = image < i and tau[image] == i
-            if not transposed and form * matrices[image] != word.transpose() * form:
-                return f"contravariant form fails on basis word {m}"
-        return None
+            if not (image < i and tau[image] == i):
+                yield ("contravariant form", m), form * matrices[image], word.transpose() * form
 
-    _run(checks, "orc-homomorphism", homomorphism)
+    _run(checks, "orc-homomorphism", lambda: _first_difference(homomorphism()))
 
     def associativity():
-        for _ in range(200):
+        for i in range(200):
             x = algebra.random_element(ctx, rng)
             y = algebra.random_element(ctx, rng)
             z = algebra.random_element(ctx, rng)
-            if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
-                return "associativity failed on a random triple"
-        return None
+            yield i, multiply(multiply(x, y), z), multiply(x, multiply(y, z))
 
-    _run(checks, "sym-associativity", associativity)
+    _run(checks, "sym-associativity", lambda: _first_difference(associativity()))
 
     _run(
         checks,
         "orc-identity-matrix",
-        lambda: None
-        if oracle.matrix_of_element(rep, identity_element(ctx))
-        == oracle.LaurentMatrix.identity(rep.dim)
-        else "identity element does not map to the identity matrix",
+        lambda: _differs(
+            oracle.matrix_of_element(rep, identity_element(ctx)),
+            oracle.LaurentMatrix.identity(rep.dim),
+        ),
     )
 
     def nilpotency():
         for gen in ("e", "f"):
-            if not algebra.divided_power_element(ctx, gen, d + 1).is_zero:
-                return f"{gen}^({d+1}) is not zero symbolically"
-            if not oracle.matrix_of_divided_power(rep, gen, d + 1).is_zero:
-                return f"{gen}^({d+1}) is not zero in the oracle"
-        return None
+            yield gen, algebra.divided_power_element(ctx, gen, d + 1), zero
+            yield gen, oracle.matrix_of_divided_power(rep, gen, d + 1), zero_m
 
-    _run(checks, "sym-nilpotency-index", nilpotency)
+    _run(checks, "sym-nilpotency-index", lambda: _first_difference(nilpotency()))
 
     def fke_products():
         fke_basis = ctx.monomials(FKE)
@@ -492,26 +476,19 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             m2 = rng.choice(fke_basis)
             x = algebra.Element(ctx, FKE, {m1: LaurentPoly.one()})
             y = algebra.Element(ctx, FKE, {m2: LaurentPoly.one()})
-            prod = multiply(x, y)
-            if oracle.matrix_of_element(rep, prod) != oracle.matrix_of_element(
-                rep, x
-            ) * oracle.matrix_of_element(rep, y):
-                return f"FKE product of {m1} and {m2} disagrees with the oracle"
-        return None
+            got = oracle.matrix_of_element(rep, multiply(x, y))
+            yield (m1, m2), got, oracle.matrix_of_element(rep, x) * oracle.matrix_of_element(rep, y)
 
-    _run(checks, "orc-homomorphism-fke", fke_products)
+    _run(checks, "orc-homomorphism-fke", lambda: _first_difference(fke_products()))
 
     def orientation_round_trip():
-        for _ in range(10):
+        for i in range(10):
             x = algebra.random_element(ctx, rng)
             y = algebra.convert_orientation(x, FKE)
-            if not oracle.matrix_of_element(rep, x) == oracle.matrix_of_element(rep, y):
-                return "orientation change altered the element"
-            if algebra.convert_orientation(y, EKF) != x:
-                return "double orientation change is not the identity"
-        return None
+            yield (i, "to FKE"), oracle.matrix_of_element(rep, x), oracle.matrix_of_element(rep, y)
+            yield (i, "back to EKF"), algebra.convert_orientation(y, EKF), x
 
-    _run(checks, "orc-orientation-round-trip", orientation_round_trip)
+    _run(checks, "orc-orientation-round-trip", lambda: _first_difference(orientation_round_trip()))
     return checks
 
 

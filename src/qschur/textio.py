@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .algebra import EKF, FKE, GENERATOR_ORDER, Context, Element, reduce_monomial, zero_element
-from .laurent import LaurentPoly, _is_int, parse_laurent
+from .laurent import LaurentPoly, _add_term, _is_int, parse_laurent
 
 
 class ParseError(ValueError):
@@ -56,7 +56,15 @@ _FACTOR_RE = re.compile(
 )
 
 
-def _parse_term(text: str, start: int, end: int, ctx: Context, orientation: str) -> Element:
+def _add_reduced(acc: dict, ctx: Context, orientation: str, quad, coeff: LaurentPoly) -> None:
+    """acc += coeff * reduce_monomial(quad), in place: the one way both parsers
+    sum their terms, so an input of n terms costs time linear in n."""
+    for m, c in reduce_monomial(ctx, quad, orientation).terms.items():
+        _add_term(acc, m, c * coeff)
+
+
+def _parse_term(text: str, start: int, end: int, orientation: str):
+    """The (quad, coeff) pair of one term of the text grammar."""
     pos = start
     coeff = LaurentPoly.one()
     # Optional parenthesized coefficient.
@@ -108,7 +116,7 @@ def _parse_term(text: str, start: int, end: int, ctx: Context, orientation: str)
     if pair is None:
         raise ParseError("term is missing its K[b1,b2] factor", start)
     quad = (a if a is not None else 0, pair[0], pair[1], c if c is not None else 0)
-    return reduce_monomial(ctx, quad, orientation).scale(coeff)
+    return quad, coeff
 
 
 def parse_element(source: str | dict, ctx: Context, orientation: str = EKF) -> Element:
@@ -123,7 +131,6 @@ def parse_element(source: str | dict, ctx: Context, orientation: str = EKF) -> E
         raise ParseError("empty element text", 0)
 
     # Split on '+' at depth zero (coefficients live inside parentheses).
-    result = zero_element(ctx, orientation)
     depth = 0
     start = 0
     boundaries = []
@@ -140,11 +147,12 @@ def parse_element(source: str | dict, ctx: Context, orientation: str = EKF) -> E
     if depth != 0:
         raise ParseError("unbalanced parenthesis", len(text) - 1)
     boundaries.append((start, len(text)))
+    acc: dict = {}
     for s, e in boundaries:
         if not text[s:e].strip():
             raise ParseError("empty term", s)
-        result = result + _parse_term(text, s, e, ctx, orientation)
-    return result
+        _add_reduced(acc, ctx, orientation, *_parse_term(text, s, e, orientation))
+    return Element._raw(ctx, orientation, acc)
 
 
 def element_to_json(x: Element) -> dict:
@@ -206,10 +214,9 @@ def element_from_json(data: dict, ctx: Context | None = None) -> Element:
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise ParseError("JSON element needs a 'terms' list", 0)
-    result = zero_element(ctx, orientation)
+    acc: dict = {}
     for i, t in enumerate(terms):
         where = f"JSON term {i}"
         quad = tuple(_json_int(t, key, where) for key in ("a", "b1", "b2", "c"))
-        coeff = _json_coeff(t, where)
-        result = result + reduce_monomial(ctx, quad, orientation).scale(coeff)
-    return result
+        _add_reduced(acc, ctx, orientation, quad, _json_coeff(t, where))
+    return Element._raw(ctx, orientation, acc)

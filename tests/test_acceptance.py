@@ -4,8 +4,9 @@ Every check is an exact algebraic identity, verified symbolically and/or
 against an independent oracle: the Weyl-module representation that the
 suites use, or the tensor power of the natural module (``tensor_power.py``
 beside this file), which criterion 1 builds at d <= 6.  The golden digests
-pin every check at d = 4, healthy and under each fault; the
-``broken-module`` fault is the Weyl modules with a wrong coefficient in e.
+pin every check at d = 4, healthy and under each fault, once with its
+witness and once by verdict alone; the ``broken-module`` fault is the Weyl
+modules with a wrong coefficient in e.
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one line per
 criterion.
 """
@@ -152,8 +153,8 @@ def test_criterion_9_negative_controls(monkeypatch):
     "fault, prefix, failing",
     [
         (None, "e0b40de54e35d310", 0),
-        ("broken-module", "81be84b4e1cc59dd", 10),
-        ("skip-reduction", "eeb6085257547c58", 213),
+        ("broken-module", "e906bf5f82f7ebf3", 10),
+        ("skip-reduction", "470fea368ffd1409", 213),
     ],
 )
 def test_check_outcomes_match_their_golden_digest(fault, prefix, failing):
@@ -163,4 +164,20 @@ def test_check_outcomes_match_their_golden_digest(fault, prefix, failing):
     assert len(checks) == 452
     assert sum(not c["pass"] for c in checks) == failing
     rows = [[c["id"], c["pass"], c.get("witness")] for c in checks]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest().startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "fault, prefix",
+    [
+        (None, "450f79fa650afe42"),
+        ("broken-module", "600a86f848ac4b06"),
+        ("skip-reduction", "3665b4e0ff205259"),
+    ],
+)
+def test_check_verdicts_match_their_golden_digest(fault, prefix):
+    # Ids and outcomes alone, witnesses left out: a change that only rewords
+    # a witness must leave every check's verdict unchanged.
+    checks = run_suites(list(SUITES), 4, seed=0, fault=fault)["checks"]
+    rows = [[c["id"], c["pass"]] for c in checks]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest().startswith(prefix)

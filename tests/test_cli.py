@@ -459,13 +459,13 @@ def test_verify_reports_a_wrong_oracle_instead_of_crashing(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL  oracle/orc-homomorphism  [NotDivisible: ")
     # A representation built before the fault reaches the suite, whose
-    # projector check reports the wrong products.
+    # projector check names the first projector, K[1,1], whose square differs.
     monkeypatch.setattr(oracle, "build_rep", lambda d: prebuilt)
     code, out, _ = run(capsys, "verify", "--suite", "idempotents", "--d", "2")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == [
-        "FAIL  idempotents/orc-projector-partition  [projector K[1,1] is not idempotent]",
+        "FAIL  idempotents/orc-projector-partition  [(1, 1): at (3, 3): 0 != 1]",
         "FAIL  overall (4/5 checks)",
     ]
 

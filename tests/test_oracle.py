@@ -3,6 +3,7 @@
 import hashlib
 import json
 import operator
+import re
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -183,15 +184,96 @@ def test_differs_names_the_smallest_differing_cell():
     assert oracle._differs(lhs, LaurentMatrix(3)) == "at (0, 0): 1 != 0"
 
 
+def _equal_cases(d):
+    ctx, rep = Context(d), build_rep(d)
+    e, f = (algebra.generator_element(ctx, gen) for gen in ("e", "f"))
+    yield "ef", e * f, e * f
+    yield (0, "matrix"), rep.k1 * rep.k1_inv, LaurentMatrix.identity(rep.dim)
+    yield Monomial(0, 0, d, 0), zero_element(ctx), zero_element(ctx)
+
+
+def test_first_difference_is_none_when_every_case_is_equal():
+    assert oracle._first_difference(_equal_cases(3)) is None
+    assert oracle._first_difference([]) is None
+
+
+def test_first_difference_names_the_first_differing_instance():
+    ctx = Context(2)
+    e, f = (algebra.generator_element(ctx, gen) for gen in ("e", "f"))
+    lhs = LaurentMatrix(3, {(0, 0): ONE, (1, 2): V(-1)})
+    cases = [
+        *_equal_cases(2),
+        ((1, 2), lhs, LaurentMatrix(3, {(0, 0): ONE})),
+        ((3, 4), e * f, f * e),
+    ]
+    assert oracle._first_difference(cases) == "(1, 2): at (1, 2): v^-1 != 0"
+    want = f"(3, 4): {oracle._differs(e * f, f * e)}"
+    assert oracle._first_difference(cases[:3] + cases[4:]) == want
+
+
+def test_first_difference_reads_no_case_after_the_first_failure():
+    def cases():
+        yield from _equal_cases(2)
+        yield "wrong", LaurentMatrix(2, {(0, 1): 2}), LaurentMatrix(2)
+        raise AssertionError("a case after the first failure was built")
+
+    assert oracle._first_difference(cases()) == "wrong: at (0, 1): 2 != 0"
+
+
+def test_a_sweep_that_raises_before_any_failure_is_a_failed_check():
+    def cases():
+        yield from _equal_cases(2)
+        raise NotDivisible("v is not divisible by 2")
+
+    checks = []
+    oracle._run(checks, "sweep", lambda: oracle._first_difference(cases()))
+    assert checks == [
+        {"id": "sweep", "pass": False, "witness": "NotDivisible: v is not divisible by 2"}
+    ]
+
+
+# The equality checks that report through _first_difference, and the three
+# that compare a single pair through _differs.
+_SWEEP_CHECKS = {
+    "relations/orc-symbolic-agreement",
+    "relations/orc-k-minimal-poly",
+    "idempotents/sym-orthogonal-idempotents",
+    "idempotents/sym-identity-neutral",
+    "idempotents/orc-projector-partition",
+    "reduction/orc-reduction-matches-raw-word-ekf",
+    "reduction/orc-reduction-matches-raw-word-fke",
+    "basis/sym-kbinom-round-trip",
+    "basis/orc-kbinom-closure",
+    "oracle/orc-homomorphism",
+    "oracle/sym-associativity",
+    "oracle/orc-identity-matrix",
+    "oracle/sym-nilpotency-index",
+    "oracle/orc-homomorphism-fke",
+    "oracle/orc-orientation-round-trip",
+}
+_SWEEP_WITNESS = re.compile(r"(.+: )?at (Monomial\(.*?\)|\(\d+, \d+\)): .+ != .+")
+_CRASH_WITNESS = re.compile(r"[A-Z]\w*: .*")
+
+
 def test_a_faulted_report_names_one_term_per_failed_equality():
     # Most lusztig identities fail under skip-reduction; each witness names
-    # one term, so it stays short however large the two sides grow.
-    checks = suites.run_suites(list(suites.SUITES), 6, fault="skip-reduction")["checks"]
-    failed = [c for c in checks if not c["pass"]]
-    assert len(checks) == 452 and len(failed) == 225
-    ids = json.dumps([c["id"] for c in failed]).encode()
-    assert hashlib.sha256(ids).hexdigest().startswith("f2ae8e97e249242e")
-    assert max(len(c["witness"]) for c in failed) <= 400
+    # one term, so it stays short however large the two sides grow.  A
+    # failed sweep names its first failing instance, then that term; the
+    # other sweeps that fail here crash.
+    for fault, failing, prefix, swept in (
+        ("skip-reduction", 225, "f2ae8e97e249242e", 2),
+        ("broken-module", 10, "4a0b779481496bd6", 7),
+    ):
+        checks = suites.run_suites(list(suites.SUITES), 6, fault=fault)["checks"]
+        failed = [c for c in checks if not c["pass"]]
+        assert len(checks) == 452 and len(failed) == failing
+        ids = json.dumps([c["id"] for c in failed]).encode()
+        assert hashlib.sha256(ids).hexdigest().startswith(prefix)
+        assert max(len(c["witness"]) for c in failed) <= 400
+        sweeps = [c["witness"] for c in failed if c["id"] in _SWEEP_CHECKS]
+        named = [w for w in sweeps if _SWEEP_WITNESS.fullmatch(w)]
+        assert len(named) == swept, fault
+        assert all(_CRASH_WITNESS.fullmatch(w) for w in sweeps if w not in named), fault
 
 
 def _first_omittable_root(ident, base, roots, witness):
@@ -869,8 +951,9 @@ def test_the_homomorphism_sweep_catches_each_gap(d, control, monkeypatch):
             return LaurentMatrix(rep.dim, {**entries, (0, 0): -entries[0, 0]})
 
         monkeypatch.setattr(oracle, "contravariant_form", negated)
-        assert _homomorphism_witness(d).startswith("contravariant form fails on basis word ")
+        assert _homomorphism_witness(d).startswith("('contravariant form', Monomial(")
         return
+    ctx = Context(d)
     if control == "second-of-orbit":
         # The later pair of the first orbit of two pairs with a nonzero product.
         i, j = next(
@@ -878,12 +961,14 @@ def test_the_homomorphism_sweep_catches_each_gap(d, control, monkeypatch):
             for i, j in pairs
             if basis[i].right == basis[j].left
             and (tau[j], tau[i]) > (i, j)
-            and multiply(*(Element(Context(d), EKF, {basis[k]: ONE}) for k in (i, j)))
+            and multiply(*(Element(ctx, EKF, {basis[k]: ONE}) for k in (i, j)))
         )
-        _patch_multiply(monkeypatch, basis[i], basis[j], lambda p: p.scale(2))
+        wrong = lambda p: p.scale(2)
     else:
         i, j = next((i, j) for i, j in pairs if basis[i].right != basis[j].left)
-        ctx = Context(d)
-        _patch_multiply(monkeypatch, basis[i], basis[j], lambda p: identity_element(ctx))
-    want = f"product of basis monomials {basis[i]} and {basis[j]} disagrees"
+        wrong = lambda p: identity_element(ctx)
+    product = multiply(*(Element(ctx, EKF, {basis[k]: ONE}) for k in (i, j)))
+    _patch_multiply(monkeypatch, basis[i], basis[j], wrong)
+    # The sweep names the pair, then the first term where the wrong product differs.
+    want = f"{(basis[i], basis[j])}: {oracle._differs(wrong(product), product)}"
     assert _homomorphism_witness(d) == want
