@@ -199,44 +199,48 @@ def cmd_table(args) -> int:
     one = LaurentPoly.one()
     basis = ctx.monomials(EKF)
     index = {m: i for i, m in enumerate(basis)}
-    # Per operand: its idempotents, the line's head when it is the lhs, the
-    # line's middle when it is the rhs, the element itself and the index of
-    # its image under the anti-involution.
+    zero = json.dumps(element_to_json(Element(ctx, EKF)))
+    # Per lhs: its right idempotent, the line's head, the element itself and
+    # the index of its image under the anti-involution.  Per rhs column: the
+    # tail of a line whose product is zero and, filed by its left idempotent,
+    # the line's middle, the element and the index of its image.
     operands = []
-    for m in basis:
+    zero_tails = []
+    starting_at: dict[int, list] = {}
+    for j, m in enumerate(basis):
         key = json.dumps({"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c})
         middle = f'"rhs": {key}, "product": '
         x = Element(ctx, EKF, {m: one})
         (image,) = anti_involution(x).terms
-        operands.append((m.left, m.right, f'{{"lhs": {key}, ', middle, x, index[image]))
-    zero = json.dumps(element_to_json(Element(ctx, EKF)))
-    coeff_texts: dict[LaurentPoly, str] = {}
+        operands.append((m.right, f'{{"lhs": {key}, ', x, index[image]))
+        zero_tails.append(f"{middle}{zero}}}\n")
+        starting_at.setdefault(m.left, []).append((j, middle, x, index[image]))
+    texts: dict = {}
 
     def json_text(x: Element) -> str:
-        return element_json_text(x, coeff_texts) if x else zero
+        return element_json_text(x, texts) if x else zero
 
     # Each line is what json.dumps gives for {"lhs": ..., "rhs": ..., "product": ...};
     # each lhs row is written at once.  A pair whose idempotents do not meet
-    # multiplies to zero (see multiply).  The anti-involution tau reverses
-    # products, x * y = tau(tau(y) * tau(x)), so of each pair (i, j) and its
-    # image (tau j, tau i) only the first to be written is multiplied; the
-    # text of the other's product is held until its line comes up.
+    # multiplies to zero (see multiply), so a row starts as the zero tails and
+    # only its meeting columns are overwritten.  The anti-involution tau
+    # reverses products, x * y = tau(tau(y) * tau(x)), so of each pair (i, j)
+    # and its image (tau j, tau i) only the first to be written is multiplied;
+    # the text of the other's product is held until its line comes up.
     held: dict[tuple[int, int], str] = {}
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        for i, (_, right, head, _, x, ti) in enumerate(operands):
-            row = []
-            for j, (left, _, _, middle, y, tj) in enumerate(operands):
-                if right != left:
-                    text = zero
-                elif (i, j) in held:
+        for i, (right, head, x, ti) in enumerate(operands):
+            row = zero_tails.copy()
+            for j, middle, y, tj in starting_at.get(right, ()):
+                if (i, j) in held:
                     text = held.pop((i, j))
                 else:
                     product = multiply(x, y)
                     text = json_text(product)
                     if (tj, ti) != (i, j):
                         held[(tj, ti)] = json_text(anti_involution(product))
-                row.append(f"{head}{middle}{text}}}\n")
-            fh.write("".join(row))
+                row[j] = f"{middle}{text}}}\n"
+            fh.write(head + head.join(row))
     return 0
 
 

@@ -302,6 +302,13 @@ _ONE = LaurentPoly({0: 1})
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
+# One signed term of the text form str() writes, as parse_laurent reads it.
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:"
+    r"(?P<coeff>\d+)\s*\*?\s*(?P<var1>v(?:\^(?P<exp1>-?\d+))?)?"
+    r"|(?P<var2>v(?:\^(?P<exp2>-?\d+))?))"
+)
+
 
 def _is_int(value) -> bool:
     """True for a JSON integer; bools and floats are not integers here."""
@@ -389,16 +396,11 @@ def parse_laurent(text: str) -> LaurentPoly:
         raise ValueError(f"empty Laurent polynomial: {text!r}")
     if s == "0":
         return LaurentPoly.zero()
-    term_re = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:"
-        r"(?P<coeff>\d+)\s*\*?\s*(?P<var1>v(?:\^(?P<exp1>-?\d+))?)?"
-        r"|(?P<var2>v(?:\^(?P<exp2>-?\d+))?))"
-    )
     pos = 0
     terms: list[tuple[int, int]] = []
     first = True
     while pos < len(s):
-        m = term_re.match(s, pos)
+        m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
             raise ValueError(f"bad Laurent polynomial at position {pos}: {text!r}")
         sign = m.group("sign")

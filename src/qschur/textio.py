@@ -166,20 +166,25 @@ def element_to_json(x: Element) -> dict:
     }
 
 
-def element_json_text(x: Element, coeff_texts: dict[LaurentPoly, str] | None = None) -> str:
+def element_json_text(x: Element, texts: dict | None = None) -> str:
     """Exactly ``json.dumps(element_to_json(x))``, written in one pass without the dicts.
 
-    ``coeff_texts``, when given, holds each coefficient's text across calls, so
-    a coefficient met again is not formatted again.
+    ``texts``, when given, holds across calls the text of each term's monomial,
+    keyed by the ``Monomial``, and of each coefficient, keyed by the
+    ``LaurentPoly``, so neither is formatted again.  The monomial key carries
+    ``b2`` and the orientation, so one memo may serve elements of any degree.
     """
-    if coeff_texts is None:
-        coeff_texts = {}
+    if texts is None:
+        texts = {}
     parts = []
     for m, coeff in x.sorted_terms():
-        text = coeff_texts.get(coeff)
+        head = texts.get(m)
+        if head is None:
+            head = texts[m] = f'{{"a": {m.a}, "b1": {m.b1}, "b2": {m.b2}, "c": {m.c}, "coeff": ['
+        text = texts.get(coeff)
         if text is None:
-            text = coeff_texts[coeff] = ", ".join(f'[{e}, "{c}"]' for e, c in coeff.items())
-        parts.append(f'{{"a": {m.a}, "b1": {m.b1}, "b2": {m.b2}, "c": {m.c}, "coeff": [{text}]}}')
+            text = texts[coeff] = ", ".join(f'[{e}, "{c}"]' for e, c in coeff.items())
+        parts.append(f"{head}{text}]}}")
     terms = ", ".join(parts)
     return f'{{"d": {x.ctx.d}, "orientation": "{x.orientation}", "terms": [{terms}]}}'
 

@@ -6,10 +6,11 @@ import json
 import pytest
 
 from qschur import cli
-from qschur.algebra import Context, EKF
+from qschur.algebra import Context, EKF, Element, multiply
 from qschur.cli import main
+from qschur.laurent import LaurentPoly
 from qschur.oracle import build_rep, matrix_of_element
-from qschur.textio import element_from_json, parse_element
+from qschur.textio import element_from_json, element_to_json, parse_element
 
 
 def run(capsys, *argv):
@@ -316,6 +317,24 @@ def test_table_bytes_are_pinned(tmp_path, capsys):
         assert target.read_bytes() == out.encode()
         for line in out.splitlines():
             assert line == json.dumps(json.loads(line))
+
+
+def test_table_matches_a_plain_reference(capsys):
+    # Differential check of table's fast path (zero-line template, tau reuse,
+    # text memo): every pair in basis order, multiplied and dumped plainly.
+    for d in range(5):
+        ctx = Context(d)
+        basis = ctx.monomials(EKF)
+        keys = [{"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c} for m in basis]
+        elements = [Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis]
+        expected = [
+            json.dumps({"lhs": kx, "rhs": ky, "product": element_to_json(multiply(x, y))})
+            for kx, x in zip(keys, elements)
+            for ky, y in zip(keys, elements)
+        ]
+        code, out, _ = run(capsys, "table", "--d", str(d))
+        assert code == 0
+        assert out.splitlines() == expected
 
 
 def test_table_pins_catch_a_wrong_anti_involution(monkeypatch, capsys):

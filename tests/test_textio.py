@@ -144,8 +144,8 @@ WIDE = Element(
 )
 
 
-# One coefficient memo for every drawn element, as table shares one for a run.
-SHARED_COEFF_TEXTS: dict = {}
+# One text memo for every drawn element, as table shares one for a run.
+SHARED_TEXTS: dict = {}
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,11 +153,17 @@ SHARED_COEFF_TEXTS: dict = {}
 @example(Element(Context(0), EKF))
 @example(Element(Context(4), FKE))
 @example(WIDE)
+# The same (a, b1, c) at two degrees: the monomial text must carry b2.
+@example(Element(Context(2), EKF, {Monomial(1, 0, 2, 1, EKF): V(1)}))
+@example(Element(Context(3), EKF, {Monomial(1, 0, 3, 1, EKF): V(1)}))
+# Two-digit indices in both orientations.
+@example(Element(Context(10), EKF, {Monomial(10, 0, 10, 0, EKF): V(-3)}))
+@example(Element(Context(10), FKE, {Monomial(0, 10, 0, 10, FKE): V(-3)}))
 def test_element_json_text_is_json_dumps_of_element_to_json(x):
     expected = json.dumps(element_to_json(x))
     assert element_json_text(x) == expected
-    assert element_json_text(x, SHARED_COEFF_TEXTS) == expected
-    assert all(coeff in SHARED_COEFF_TEXTS for coeff in x.terms.values())
+    assert element_json_text(x, SHARED_TEXTS) == expected
+    assert all(m in SHARED_TEXTS and coeff in SHARED_TEXTS for m, coeff in x.terms.items())
 
 
 def test_json_shape():
