@@ -14,7 +14,6 @@ the algebra automorphism that swaps e with f and K1 with K2.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from itertools import takewhile
@@ -559,23 +558,3 @@ def change_to_kbinom_basis(x: Element) -> dict[tuple[int, int, int], LaurentPoly
         raise RuntimeError("peeling left a nonzero residual; triangularity is broken")
     return out
 
-
-# ---------------------------------------------------------------------------
-# Random elements (for property tests and suites)
-# ---------------------------------------------------------------------------
-
-
-def random_element(
-    ctx: Context,
-    rng: random.Random,
-    orientation: str = EKF,
-    max_terms: int = 3,
-) -> Element:
-    """A small random canonical element with coefficients c v^k, c in {±1, ±2}, |k| <= 2."""
-    basis = ctx.monomials(orientation)
-    n = rng.randint(1, max_terms)
-    terms: dict[Monomial, LaurentPoly] = {}
-    for _ in range(n):
-        m = rng.choice(basis)
-        _add_term(terms, m, LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}))
-    return Element(ctx, orientation, terms)

@@ -4,8 +4,7 @@ A Laurent polynomial is stored sparsely as a map from exponent to integer
 coefficient; zero coefficients are never stored, so equal ring elements have
 identical term maps.  Quantum integers [r], quantum factorials [m]! and
 Gaussian binomials [r; s] are provided as module-level functions with shared
-caches.  Rational values (from evaluating at a point) are plain
-``fractions.Fraction`` objects.
+caches.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ class NotDivisible(ArithmeticError):
 
 class DivisionByZero(ZeroDivisionError):
     """Division by the zero polynomial."""
-
-
-class EvalAtZero(ZeroDivisionError):
-    """Evaluation of a Laurent polynomial at v = 0 is undefined."""
 
 
 class LaurentPoly:
@@ -230,15 +225,6 @@ class LaurentPoly:
                 else:
                     rem.pop(e + qe, None)
         return LaurentPoly({e + shift: c for e, c in quot.items()})
-
-    def evaluate(self, t: int | Fraction) -> Fraction:
-        """Substitute v := t exactly.  t must be nonzero."""
-        from fractions import Fraction
-
-        t = Fraction(t)
-        if t == 0:
-            raise EvalAtZero("cannot evaluate a Laurent polynomial at v = 0")
-        return sum((Fraction(c) * t**e for e, c in self._terms.items()), Fraction(0))
 
     def bar(self) -> LaurentPoly:
         """The involution v -> v^-1."""

@@ -375,17 +375,23 @@ def _crashed(cid: str, exc: Exception) -> dict:
     return {"id": cid, "pass": False, "witness": f"{type(exc).__name__}: {exc}"}
 
 
-def _run(checks: list, cid: str, fn) -> None:
-    """Run one check; fn returns None (pass) or a witness string (fail)."""
-    try:
-        witness = fn()
-    except Exception as exc:  # a crash is a failure, not an abort
-        checks.append(_crashed(cid, exc))
-        return
-    if witness is None:
-        checks.append({"id": cid, "pass": True})
-    else:
-        checks.append({"id": cid, "pass": False, "witness": witness})
+def _record(cases: Iterable) -> list[dict]:
+    """Run each ``(id, check)`` pair before drawing the next: ``check()``
+    returns None (pass) or a witness string (fail), and a check that raises
+    fails alone.  A raise while drawing a pair, in the producer's own
+    set-up, propagates."""
+    checks = []
+    for cid, check in cases:
+        try:
+            witness = check()
+        except Exception as exc:  # a crash is a failure, not an abort
+            checks.append(_crashed(cid, exc))
+            continue
+        if witness is None:
+            checks.append({"id": cid, "pass": True})
+        else:
+            checks.append({"id": cid, "pass": False, "witness": witness})
+    return checks
 
 
 def _differs(lhs: _Combination, rhs: _Combination) -> str | None:
@@ -421,31 +427,32 @@ def _minimal_poly(ident, base, roots):
     return acc
 
 
-def verify_defining_relations(rep: OracleRep) -> dict:
-    """Check the presentation relations as exact matrix identities.
+def _defining_relations(rep: OracleRep):
+    """The presentation relations as ``(id, check)`` pairs of exact matrix identities.
 
     Each check builds its own sides, so a product that raises, such as a
     commutator numerator not divisible by v - v^-1, fails that check.
     """
-    checks: list[dict] = []
     ident = LaurentMatrix.identity(rep.dim)
     zero = LaurentMatrix(rep.dim)
     v = LaurentPoly.v
     e, f, k1, k1i, k2, k2i = rep.e, rep.f, rep.k1, rep.k1_inv, rep.k2, rep.k2_inv
 
-    _run(checks, "k1-k2-commute", lambda: _differs(k1 * k2, k2 * k1))
-    _run(checks, "k1-inverse", lambda: _differs(k1 * k1i, ident))
-    _run(checks, "k2-inverse", lambda: _differs(k2 * k2i, ident))
-    _run(checks, "k1-conj-e", lambda: _differs(k1 * e * k1i, e.scale(v(1))))
-    _run(checks, "k1-conj-f", lambda: _differs(k1 * f * k1i, f.scale(v(-1))))
-    _run(checks, "k2-conj-e", lambda: _differs(k2 * e * k2i, e.scale(v(-1))))
-    _run(checks, "k2-conj-f", lambda: _differs(k2 * f * k2i, f.scale(v(1))))
-    _run(
-        checks,
-        "ef-commutator",
-        lambda: _differs(e * f - f * e, (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))),
+    yield "k1-k2-commute", lambda: _differs(k1 * k2, k2 * k1)
+    yield "k1-inverse", lambda: _differs(k1 * k1i, ident)
+    yield "k2-inverse", lambda: _differs(k2 * k2i, ident)
+    yield "k1-conj-e", lambda: _differs(k1 * e * k1i, e.scale(v(1)))
+    yield "k1-conj-f", lambda: _differs(k1 * f * k1i, f.scale(v(-1)))
+    yield "k2-conj-e", lambda: _differs(k2 * e * k2i, e.scale(v(-1)))
+    yield "k2-conj-f", lambda: _differs(k2 * f * k2i, f.scale(v(1)))
+    yield "ef-commutator", lambda: _differs(
+        e * f - f * e, (k1 * k2i - k1i * k2).exact_div_scalar(v(1) - v(-1))
     )
-    _run(checks, "k1k2-central-scalar", lambda: _differs(k1 * k2, ident.scale(v(rep.d))))
+    yield "k1k2-central-scalar", lambda: _differs(k1 * k2, ident.scale(v(rep.d)))
     roots = range(rep.d + 1)
-    _run(checks, "k1-minimal-poly", lambda: _differs(_minimal_poly(ident, k1, roots), zero))
-    return _report(rep.d, "defining-relations", checks)
+    yield "k1-minimal-poly", lambda: _differs(_minimal_poly(ident, k1, roots), zero)
+
+
+def verify_defining_relations(rep: OracleRep) -> dict:
+    """Check the presentation relations as exact matrix identities."""
+    return _report(rep.d, "defining-relations", _record(_defining_relations(rep)))

@@ -4,9 +4,16 @@ Each suite checks a family of exact identities, symbolically and, all but
 ``lusztig``, against the Weyl-module matrix representation, which is built
 at every degree.
 Reports follow one schema: ``{"d", "suite", "checks": [{"id", "pass",
-"witness"?}], "pass"}``.  Every check is wrapped so that an unexpected
-exception becomes a failed check instead of a crash; the fault-injection
-knobs exist precisely so tests can prove the suites catch broken builds.
+"witness"?}], "pass"}``.  The fault-injection knobs exist precisely so
+tests can prove the suites catch broken builds.
+
+Every suite, like :func:`oracle._defining_relations`, is a generator of
+``(id, check)`` pairs; ``check()`` returns None for a pass or a witness
+string for a failure.  :func:`run_suite` is the one place that records a
+suite, through :func:`oracle._record`, which runs each check before it
+draws the next pair, so a check's closure reads the current loop
+variables.  A check that raises fails alone; a raise in a suite's own
+set-up, outside any check, propagates.
 
 Every equality of two elements or two matrices goes through
 :func:`oracle._differs`.  A check of one identity returns its witness; a
@@ -23,8 +30,8 @@ from math import comb
 
 from . import algebra, oracle
 from .algebra import EKF, FKE, Context, identity_element, k_element, multiply, zero_element
-from .laurent import LaurentPoly, gauss_binomial, quantum_int
-from .oracle import _crashed, _differs, _first_difference, _run
+from .laurent import LaurentPoly, _add_term, gauss_binomial, quantum_int
+from .oracle import _crashed, _differs, _first_difference, _record
 
 SUITE_GUARDS = {
     "relations": 6,
@@ -40,6 +47,19 @@ FAULTS = (None, "skip-reduction", "broken-module")
 def schur_dimension(d: int) -> int:
     """The dimension of the degree-d algebra: C(d+3, 3)."""
     return comb(d + 3, 3)
+
+
+def random_element(
+    ctx: Context, rng: random.Random, orientation: str = EKF, max_terms: int = 3
+) -> algebra.Element:
+    """A small random canonical element with coefficients c v^k, c in {±1, ±2}, |k| <= 2."""
+    basis = ctx.monomials(orientation)
+    n = rng.randint(1, max_terms)
+    terms: dict[algebra.Monomial, LaurentPoly] = {}
+    for _ in range(n):
+        m = rng.choice(basis)
+        _add_term(terms, m, LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}))
+    return algebra.Element(ctx, orientation, terms)
 
 
 def _weyl_with_short_e(d: int):
@@ -99,8 +119,7 @@ def _omittable_root(ident, base, roots, witness: str) -> str | None:
     return None
 
 
-def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
-    checks: list[dict] = []
+def suite_relations(d: int, ctx: Context, rep, seed: int = 0):
     v = LaurentPoly.v
     ident = identity_element(ctx)
     zero = zero_element(ctx)
@@ -119,16 +138,12 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         ("k", kk, kki, 2, k_spectrum),
     )
     for name, k, ki, _, _ in families:
-        _run(checks, f"sym-{name}-inverse", lambda k=k, ki=ki: _differs(k * ki, ident))
-    _run(checks, "sym-k-is-scaled-k1-squared", lambda: _differs(kk, (k1 * k1).scale(v(-d))))
+        yield f"sym-{name}-inverse", lambda: _differs(k * ki, ident)
+    yield "sym-k-is-scaled-k1-squared", lambda: _differs(kk, (k1 * k1).scale(v(-d)))
     for name, k, ki, weight, _ in families:
         for gen, x, w in (("e", e, weight), ("f", f, -weight)):
-            _run(
-                checks,
-                f"sym-{name}-conj-{gen}",
-                lambda k=k, ki=ki, x=x, w=w: _differs(k * x * ki, x.scale(v(w))),
-            )
-    _run(checks, "sym-k1k2-central-scalar", lambda: _differs(k1 * k2, ident.scale(v(d))))
+            yield f"sym-{name}-conj-{gen}", lambda: _differs(k * x * ki, x.scale(v(w)))
+    yield "sym-k1k2-central-scalar", lambda: _differs(k1 * k2, ident.scale(v(d)))
 
     # ef - fe = (K - K^-1) / (v - v^-1), with K written through each family.
     numerators = {
@@ -137,38 +152,26 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         "k2": lambda: (k2i * k2i).scale(v(d)) - (k2 * k2).scale(v(-d)),
     }
     for name, numerator in numerators.items():
-        _run(
-            checks,
-            f"sym-ef-commutator-{name}-form",
-            lambda numerator=numerator: _differs(
-                e * f - f * e, numerator().exact_div_scalar(v(1) - v(-1))
-            ),
+        yield f"sym-ef-commutator-{name}-form", lambda: _differs(
+            e * f - f * e, numerator().exact_div_scalar(v(1) - v(-1))
         )
 
     for name, k, _, _, roots in families:
-        _run(
-            checks,
-            f"sym-{name}-minimal-poly",
-            lambda k=k, roots=roots: _differs(oracle._minimal_poly(ident, k, roots), zero),
+        yield f"sym-{name}-minimal-poly", lambda: _differs(
+            oracle._minimal_poly(ident, k, roots), zero
         )
-    _run(
-        checks,
-        "sym-k1-spectrum-complete",
-        lambda: _omittable_root(
-            ident, k1, spectrum, "product omitting eigenvalue v^{} already vanishes"
-        ),
+    yield "sym-k1-spectrum-complete", lambda: _omittable_root(
+        ident, k1, spectrum, "product omitting eigenvalue v^{} already vanishes"
     )
 
-    for c in oracle.verify_defining_relations(rep)["checks"]:
-        checks.append({**c, "id": "orc-" + c["id"]})
+    for cid, check in oracle._defining_relations(rep):
+        yield "orc-" + cid, check
 
     ident_m = oracle.LaurentMatrix.identity(rep.dim)
     kmat = (rep.k1 * rep.k1).scale(v(-d))
     zero_m = oracle.LaurentMatrix(rep.dim)
-    _run(
-        checks,
-        "orc-k-minimal-poly",
-        lambda: _differs(oracle._minimal_poly(ident_m, kmat, k_spectrum), zero_m),
+    yield "orc-k-minimal-poly", lambda: _differs(
+        oracle._minimal_poly(ident_m, kmat, k_spectrum), zero_m
     )
 
     def oracle_spectrum():
@@ -176,22 +179,13 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
         want = list(spectrum)
         return None if got == want else f"K1 exponents {got} != {want}"
 
-    _run(checks, "orc-k1-eigenvalue-spectrum", oracle_spectrum)
-    _run(
-        checks,
-        "orc-k1-spectrum-complete",
-        lambda: _omittable_root(
-            ident_m, rep.k1, spectrum, "matrix product omitting v^{} vanishes"
-        ),
+    yield "orc-k1-eigenvalue-spectrum", oracle_spectrum
+    yield "orc-k1-spectrum-complete", lambda: _omittable_root(
+        ident_m, rep.k1, spectrum, "matrix product omitting v^{} vanishes"
     )
-    _run(
-        checks,
-        "orc-symbolic-agreement",
-        lambda: _differs(
-            oracle.matrix_of_element(rep, e * f - f * e), rep.e * rep.f - rep.f * rep.e
-        ),
+    yield "orc-symbolic-agreement", lambda: _differs(
+        oracle.matrix_of_element(rep, e * f - f * e), rep.e * rep.f - rep.f * rep.e
     )
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +193,7 @@ def suite_relations(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
-    checks: list[dict] = []
+def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0):
     ident = identity_element(ctx)
 
     def partition_of_unity():
@@ -209,7 +202,7 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             total = total + algebra.idempotent_element(ctx, b1, b2)
         return _differs(total, ident)
 
-    _run(checks, "sym-partition-of-unity", partition_of_unity)
+    yield "sym-partition-of-unity", partition_of_unity
 
     def orthogonality():
         units = {p: algebra.idempotent_element(ctx, *p) for p in ctx.idempotents}
@@ -217,7 +210,7 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             for q, y in units.items():
                 yield (p, q), multiply(x, y), x if p == q else zero_element(ctx)
 
-    _run(checks, "sym-orthogonal-idempotents", lambda: _first_difference(orthogonality()))
+    yield "sym-orthogonal-idempotents", lambda: _first_difference(orthogonality())
 
     def kbinom_vanishing():
         # The image of [K1;b1][K2;b2] must vanish whenever b1 + b2 = d + 1;
@@ -230,16 +223,16 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                     return f"[K1;{b1}][K2;{b2}] has coordinate {coeff} at K[{beta},{d-beta}]"
         return None
 
-    _run(checks, "sym-kbinom-vanishing-above-degree", kbinom_vanishing)
+    yield "sym-kbinom-vanishing-above-degree", kbinom_vanishing
 
     def identity_neutral():
         rng = random.Random(20240411 + d)
         for i in range(5):
-            x = algebra.random_element(ctx, rng)
+            x = random_element(ctx, rng)
             yield (i, "1 * x"), multiply(ident, x), x
             yield (i, "x * 1"), multiply(x, ident), x
 
-    _run(checks, "sym-identity-neutral", lambda: _first_difference(identity_neutral()))
+    yield "sym-identity-neutral", lambda: _first_difference(identity_neutral())
 
     def projectors():
         total = oracle.LaurentMatrix(rep.dim)
@@ -255,8 +248,7 @@ def suite_idempotents(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                 if p != q:
                     yield (p, q), mp * mq, zero
 
-    _run(checks, "orc-projector-partition", lambda: _first_difference(projectors()))
-    return checks
+    yield "orc-projector-partition", lambda: _first_difference(projectors())
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +267,20 @@ def _straightened_quads(ctx: Context, orientation: str):
                     yield quad
 
 
-def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
-    checks: list[dict] = []
+def suite_reduction(d: int, ctx: Context, rep, seed: int = 0):
     for orientation in (EKF, FKE):
         tag = orientation.lower()
 
-        def structural(orientation=orientation):
+        def structural():
             for quad in _straightened_quads(ctx, orientation):
                 for m in algebra.reduce_monomial(ctx, quad, orientation).terms:
                     if m.fake_degree > d or min(m.a, m.b1, m.b2, m.c) < 0 or m.b1 + m.b2 != d:
                         return f"reduce{quad} emitted non-canonical {m}"
             return None
 
-        _run(checks, f"sym-reduction-emits-canonical-{tag}", structural)
+        yield f"sym-reduction-emits-canonical-{tag}", structural
 
-        def oracle_agreement(orientation=orientation):
+        def oracle_agreement():
             for quad in _straightened_quads(ctx, orientation):
                 a, b1, b2, c = quad
                 projector = oracle.idempotent_projector(rep, b1, b2)
@@ -297,9 +288,7 @@ def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                 red = algebra.reduce_monomial(ctx, quad, orientation)
                 yield quad, raw, oracle.matrix_of_element(rep, red)
 
-        cid = f"orc-reduction-matches-raw-word-{tag}"
-        _run(checks, cid, lambda: _first_difference(oracle_agreement()))
-    return checks
+        yield f"orc-reduction-matches-raw-word-{tag}", lambda: _first_difference(oracle_agreement())
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +296,20 @@ def suite_reduction(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
-    checks: list[dict] = []
+def suite_basis(d: int, ctx: Context, rep, seed: int = 0):
     want = schur_dimension(d)
     rng = random.Random(seed or (97 + d))
 
     for orientation in (EKF, FKE):
-        tag = orientation.lower()
-        _run(
-            checks,
-            f"sym-basis-count-{tag}",
-            lambda orientation=orientation: None
+        yield f"sym-basis-count-{orientation.lower()}", lambda: (
+            None
             if len(ctx.monomials(orientation)) == want
-            else f"{len(ctx.monomials(orientation))} monomials, expected {want}",
+            else f"{len(ctx.monomials(orientation))} monomials, expected {want}"
         )
 
     for orientation in (EKF, FKE):
-        tag = orientation.lower()
 
-        def rank_check(orientation=orientation):
+        def rank_check():
             basis = ctx.monomials(orientation)
             mats = [
                 oracle.matrix_of_element(
@@ -341,7 +325,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                 return f"rank {rank}, count {len(basis)}, expected {want}"
             return None
 
-        _run(checks, f"orc-span-rank-{tag}", rank_check)
+        yield f"orc-span-rank-{orientation.lower()}", rank_check
 
     def unitriangular():
         order = algebra.kbinom_index_set(ctx)
@@ -357,15 +341,15 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                     return f"unit {(a, b, c)} produced earlier monomial {(m.a, m.b1, m.c)}"
         return None
 
-    _run(checks, "sym-kbinom-change-unitriangular", unitriangular)
+    yield "sym-kbinom-change-unitriangular", unitriangular
 
     def round_trip():
         for i in range(10):
-            x = algebra.random_element(ctx, rng, max_terms=4)
+            x = random_element(ctx, rng, max_terms=4)
             coords = algebra.change_to_kbinom_basis(x)
             yield i, algebra.change_from_kbinom_basis(ctx, coords), x
 
-    _run(checks, "sym-kbinom-round-trip", lambda: _first_difference(round_trip()))
+    yield "sym-kbinom-round-trip", lambda: _first_difference(round_trip())
 
     def closure():
         # Every K-binomial unit, and 25 sampled out-of-range triples (which
@@ -386,8 +370,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             raw = oracle._word_matrix(rep, EKF, a, kbinom(b), c)
             yield (a, b, c), oracle.matrix_of_element(rep, elt), raw
 
-    _run(checks, "orc-kbinom-closure", lambda: _first_difference(closure()))
-    return checks
+    yield "orc-kbinom-closure", lambda: _first_difference(closure())
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +378,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
-    checks: list[dict] = []
+def suite_oracle(d: int, ctx: Context, rep, seed: int = 0):
     rng = random.Random(seed or (1009 + d))
     zero, zero_m = zero_element(ctx), oracle.LaurentMatrix(rep.dim)
 
@@ -442,24 +424,19 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             if not (image < i and tau[image] == i):
                 yield ("contravariant form", m), form * matrices[image], word.transpose() * form
 
-    _run(checks, "orc-homomorphism", lambda: _first_difference(homomorphism()))
+    yield "orc-homomorphism", lambda: _first_difference(homomorphism())
 
     def associativity():
         for i in range(200):
-            x = algebra.random_element(ctx, rng)
-            y = algebra.random_element(ctx, rng)
-            z = algebra.random_element(ctx, rng)
+            x = random_element(ctx, rng)
+            y = random_element(ctx, rng)
+            z = random_element(ctx, rng)
             yield i, multiply(multiply(x, y), z), multiply(x, multiply(y, z))
 
-    _run(checks, "sym-associativity", lambda: _first_difference(associativity()))
-
-    _run(
-        checks,
-        "orc-identity-matrix",
-        lambda: _differs(
-            oracle.matrix_of_element(rep, identity_element(ctx)),
-            oracle.LaurentMatrix.identity(rep.dim),
-        ),
+    yield "sym-associativity", lambda: _first_difference(associativity())
+    yield "orc-identity-matrix", lambda: _differs(
+        oracle.matrix_of_element(rep, identity_element(ctx)),
+        oracle.LaurentMatrix.identity(rep.dim),
     )
 
     def nilpotency():
@@ -467,7 +444,7 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             yield gen, algebra.divided_power_element(ctx, gen, d + 1), zero
             yield gen, oracle.matrix_of_divided_power(rep, gen, d + 1), zero_m
 
-    _run(checks, "sym-nilpotency-index", lambda: _first_difference(nilpotency()))
+    yield "sym-nilpotency-index", lambda: _first_difference(nilpotency())
 
     def fke_products():
         fke_basis = ctx.monomials(FKE)
@@ -479,17 +456,16 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             got = oracle.matrix_of_element(rep, multiply(x, y))
             yield (m1, m2), got, oracle.matrix_of_element(rep, x) * oracle.matrix_of_element(rep, y)
 
-    _run(checks, "orc-homomorphism-fke", lambda: _first_difference(fke_products()))
+    yield "orc-homomorphism-fke", lambda: _first_difference(fke_products())
 
     def orientation_round_trip():
         for i in range(10):
-            x = algebra.random_element(ctx, rng)
+            x = random_element(ctx, rng)
             y = algebra.convert_orientation(x, FKE)
             yield (i, "to FKE"), oracle.matrix_of_element(rep, x), oracle.matrix_of_element(rep, y)
             yield (i, "back to EKF"), algebra.convert_orientation(y, EKF), x
 
-    _run(checks, "orc-orientation-round-trip", lambda: _first_difference(orientation_round_trip()))
-    return checks
+    yield "orc-orientation-round-trip", lambda: _first_difference(orientation_round_trip())
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +473,7 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
+def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0):
     """The divided-power and K-binomial identities of U_v(gl_2), on ``multiply``.
 
     Lusztig, *Introduction to Quantum Groups*, section 3.1: conjugation by K
@@ -507,7 +483,6 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     so K^n is the sum of v^(n w) K[b1,b2] and [K; c, t] the sum of
     [w+c; t] K[b1,b2]; each is built once per call.
     """
-    checks: list[dict] = []
     bound = 4  # the largest |n| of K^n, and of the K-binomial indices c and t
     v = LaurentPoly.v
     zero = zero_element(ctx)
@@ -532,26 +507,19 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
     def lowered(name: str, j: int, u: int) -> algebra.Element:
         return pows[name, -j] * kbinom(name, 0, u)
 
-    def check(cid, sides):
-        # sides() returns the identity's two sides; it runs here, under _run,
-        # so the loop variables it reads are still current.
-        _run(checks, cid, lambda: _differs(*sides()))
-
     for name, sign in (("K1", 1), ("K2", -1)):
         for n in range(-bound, bound + 1):
             for gen, x, w in (("e", e, sign * n), ("f", f, -sign * n)):
-                check(
-                    f"conj-{gen}-by-{name.lower()}^{n}",
-                    lambda: (pows[name, n] * x * pows[name, -n], x.scale(v(w))),
+                yield f"conj-{gen}-by-{name.lower()}^{n}", lambda: _differs(
+                    pows[name, n] * x * pows[name, -n], x.scale(v(w))
                 )
 
     for name, shift in (("K1", 1), ("K2", -1)):
         for c in range(-bound, bound + 1):
             for t in range(bound + 1):
                 for gen, x, s in (("e", e, shift), ("f", f, -shift)):
-                    check(
-                        f"kbinom-shift-{name.lower()}-past-{gen}(c={c},t={t})",
-                        lambda: (kbinom(name, c, t) * x, x * kbinom(name, c + s, t)),
+                    yield f"kbinom-shift-{name.lower()}-past-{gen}(c={c},t={t})", lambda: _differs(
+                        kbinom(name, c, t) * x, x * kbinom(name, c + s, t)
                     )
 
     for m in range(bound + 1):
@@ -560,29 +528,23 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
             algebra.divided_power_element(ctx, gen, m - 1) if m else zero for gen in ("e", "f")
         )
         kb = kbinom("K", m - 1, 1)
-        check(f"e-past-divided-f(m={m})", lambda: (fm * e, e * fm - kb * fm1))
-        check(f"f-past-divided-e(m={m})", lambda: (f * em, em * f - em1 * kb))
+        yield f"e-past-divided-f(m={m})", lambda: _differs(fm * e, e * fm - kb * fm1)
+        yield f"f-past-divided-e(m={m})", lambda: _differs(f * em, em * f - em1 * kb)
 
     for name in ("K1", "K2"):
         tag = name.lower()
         for c in range(-bound, bound + 1):
             for t in range(bound):
-                check(
-                    f"kbinom-recursion-{tag}(c={c},t={t})",
-                    lambda: (
-                        kbinom(name, c + 1, t + 1),
-                        kbinom(name, c, t + 1).scale(v(t + 1))
-                        + (pows[name, -1] * kbinom(name, c, t)).scale(v(t - c)),
-                    ),
+                yield f"kbinom-recursion-{tag}(c={c},t={t})", lambda: _differs(
+                    kbinom(name, c + 1, t + 1),
+                    kbinom(name, c, t + 1).scale(v(t + 1))
+                    + (pows[name, -1] * kbinom(name, c, t)).scale(v(t - c)),
                 )
         for t in range(bound + 1):
             for tp in range(bound + 1):
-                check(
-                    f"kbinom-merge-{tag}(t={t},t'={tp})",
-                    lambda: (
-                        kbinom(name, 0, t) * kbinom(name, -t, tp),
-                        kbinom(name, 0, t + tp).scale(gauss_binomial(t + tp, t)),
-                    ),
+                yield f"kbinom-merge-{tag}(t={t},t'={tp})", lambda: _differs(
+                    kbinom(name, 0, t) * kbinom(name, -t, tp),
+                    kbinom(name, 0, t + tp).scale(gauss_binomial(t + tp, t)),
                 )
         for c in range(bound + 1):
             for t in range(bound + 1):
@@ -590,15 +552,13 @@ def suite_lusztig(d: int, ctx: Context, rep, seed: int = 0) -> list[dict]:
                     lowered(name, j, t - j).scale(gauss_binomial(c, j) * v(c * (t - j)))
                     for j in range(t + 1)
                 )
-                check(
-                    f"kbinom-expansion-{tag}(c={c},t={t})",
-                    lambda: (kbinom(name, c, t), sum(terms, zero)),
+                yield f"kbinom-expansion-{tag}(c={c},t={t})", lambda: _differs(
+                    kbinom(name, c, t), sum(terms, zero)
                 )
-    return checks
 
 
-# Each suite takes (d, ctx, rep, seed) and ignores what it does not read;
-# the table lists them in report order.
+# Each suite takes (d, ctx, rep, seed), ignores what it does not read and
+# yields (id, check) pairs; the table lists them in report order.
 _SUITE_TABLE = {
     "relations": suite_relations,
     "idempotents": suite_idempotents,
@@ -628,7 +588,7 @@ def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> 
         rep = _build_rep(d, fault)
     except Exception as exc:  # a wrong oracle is a failed check, not a crash
         return oracle._report(d, name, [_crashed("oracle-build", exc)])
-    return oracle._report(d, name, _SUITE_TABLE[name](d, ctx, rep, seed))
+    return oracle._report(d, name, _record(_SUITE_TABLE[name](d, ctx, rep, seed)))
 
 
 def run_suites(

@@ -1,6 +1,7 @@
 """The matrix representations and their verification machinery."""
 
 import hashlib
+import inspect
 import json
 import operator
 import re
@@ -225,11 +226,58 @@ def test_a_sweep_that_raises_before_any_failure_is_a_failed_check():
         yield from _equal_cases(2)
         raise NotDivisible("v is not divisible by 2")
 
-    checks = []
-    oracle._run(checks, "sweep", lambda: oracle._first_difference(cases()))
+    checks = oracle._record([("sweep", lambda: oracle._first_difference(cases()))])
     assert checks == [
         {"id": "sweep", "pass": False, "witness": "NotDivisible: v is not divisible by 2"}
     ]
+
+
+def test_a_check_that_raises_fails_alone_and_the_next_pair_still_runs():
+    ran = []
+
+    def refuse():
+        raise ArithmeticError("product refused")
+
+    def pairs():
+        yield "first", lambda: ran.append("first")
+        yield "middle", refuse
+        yield "last", lambda: ran.append("last")
+
+    assert oracle._record(pairs()) == [
+        {"id": "first", "pass": True},
+        {"id": "middle", "pass": False, "witness": "ArithmeticError: product refused"},
+        {"id": "last", "pass": True},
+    ]
+    assert ran == ["first", "last"]
+
+
+def test_each_check_runs_before_the_next_pair_is_drawn():
+    # So a check's closure reads the loop variable of its own pair: drawn
+    # first and run later, every check here would see n = 2.
+    def pairs():
+        for n in range(3):
+            yield f"n={n}", lambda: None if n < 2 else f"n is {n}"
+
+    assert oracle._record(pairs())[1:] == [
+        {"id": "n=1", "pass": True},
+        {"id": "n=2", "pass": False, "witness": "n is 2"},
+    ]
+
+
+def test_a_raise_while_drawing_a_pair_propagates():
+    # Only a check's own raise is a failed check; a suite's set-up that
+    # raises is a crash, as a suite would otherwise drop its later checks.
+    def pairs():
+        yield "first", lambda: None
+        raise RuntimeError("set-up failed")
+
+    with pytest.raises(RuntimeError, match="set-up failed"):
+        oracle._record(pairs())
+
+
+def test_every_check_producer_is_a_generator_function():
+    assert all(inspect.isgeneratorfunction(suite) for suite in suites._SUITE_TABLE.values())
+    assert inspect.isgeneratorfunction(oracle._defining_relations)
 
 
 # The equality checks that report through _first_difference, and the three
@@ -331,9 +379,9 @@ def test_every_suite_takes_one_argument_list():
     for name, suite in suites._SUITE_TABLE.items():
         assert suite is getattr(suites, f"suite_{name}")
         want = suites.run_suite(name, 2)["checks"]
-        assert suite(2, ctx, rep) == want
+        assert oracle._record(suite(2, ctx, rep)) == want
         if name not in ("basis", "oracle"):
-            assert suite(2, ctx, rep, seed=5) == want
+            assert oracle._record(suite(2, ctx, rep, seed=5)) == want
 
 
 def test_the_word_of_a_non_canonical_monomial_is_its_plain_product():
@@ -612,7 +660,7 @@ def test_diagonal_kbinom_matches_scalar():
 def test_homomorphism_on_random_products():
     import random
 
-    from qschur.algebra import random_element
+    from qschur.suites import random_element
 
     rng = random.Random(3)
     for d in range(4):
@@ -673,13 +721,13 @@ def _negated_entry(matrix: LaurentMatrix) -> LaurentMatrix:
 
 def test_a_wrong_cached_word_is_caught_by_the_oracle():
     ctx, rep = Context(2), build_rep(2)
-    assert all(c["pass"] for c in suites.suite_oracle(2, ctx, rep))
+    assert all(c["pass"] for c in oracle._record(suites.suite_oracle(2, ctx, rep)))
     keys = [k for k in rep._dp_cache if k[0] == "word" and k[1].orientation == EKF]
     assert len(keys) == len(ctx.monomials(EKF))
     for key in keys:
         word = rep._dp_cache[key]
         rep._dp_cache[key] = _negated_entry(word)
-        checks = {c["id"]: c["pass"] for c in suites.suite_oracle(2, ctx, rep)}
+        checks = {c["id"]: c["pass"] for c in oracle._record(suites.suite_oracle(2, ctx, rep))}
         assert checks["orc-homomorphism"] is False, key
         rep._dp_cache[key] = word
 
@@ -717,7 +765,7 @@ def test_a_wrong_cached_head_fails_an_oracle_check(d):
         failed = [
             c["id"]
             for suite in (suites.suite_reduction, suites.suite_basis, suites.suite_oracle)
-            for c in suite(d, ctx, rep)
+            for c in oracle._record(suite(d, ctx, rep))
             if not c["pass"]
         ]
         assert any(cid.startswith("orc-") for cid in failed), key[:3]
@@ -834,7 +882,7 @@ def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
     # term, so the fault must not be limited to elements of several terms.
     ctx, rep = Context(2), build_rep(2)
     for suite in (suites.suite_relations, suites.suite_reduction):
-        assert all(c["pass"] for c in suite(2, ctx, rep))
+        assert all(c["pass"] for c in oracle._record(suite(2, ctx, rep)))
     healthy = oracle.matrix_of_element
 
     def one_wrong_cell(rep, x):
@@ -852,7 +900,7 @@ def test_a_wrong_accumulated_cell_is_caught_by_the_suites(monkeypatch):
     # The representation is built before the fault, so the suites' own
     # checks, not the build's self-check, must catch it.
     for suite in (suites.suite_relations, suites.suite_reduction):
-        assert not all(c["pass"] for c in suite(2, ctx, rep))
+        assert not all(c["pass"] for c in oracle._record(suite(2, ctx, rep)))
 
 
 # -- the contravariant form and the tau-orbit sweep --------------------------

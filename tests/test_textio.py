@@ -15,9 +15,9 @@ from qschur.algebra import (
     IndexOutOfRange,
     Monomial,
     identity_element,
-    random_element,
 )
 from qschur.laurent import LaurentPoly
+from qschur.suites import random_element
 from qschur.textio import (
     ParseError,
     element_from_json,
