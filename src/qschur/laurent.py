@@ -288,11 +288,9 @@ _ONE = LaurentPoly({0: 1})
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
-# One signed term of the text form str() writes, as parse_laurent reads it.
+# One signed term as parse_laurent reads it; a '*' is legal only after a coefficient.
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coeff>\d+)\s*\*?\s*(?P<var1>v(?:\^(?P<exp1>-?\d+))?)?"
-    r"|(?P<var2>v(?:\^(?P<exp2>-?\d+))?))"
+    r"\s*(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*(?(coeff)\*?\s*)(?P<var>v(?:\^(?P<exp>-?\d+))?)?"
 )
 
 
@@ -372,37 +370,26 @@ class _Combination:
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the text form produced by ``str()``.
+    """Parse the text form ``str()`` writes, and more spellings of it, such as ``2 * v``.
 
-    >>> parse_laurent("v^2 - 3 + 2v^-1")
+    >>> parse_laurent("v^2 - 3 + 2 * v^-1")
     LaurentPoly('v^2 - 3 + 2v^-1')
     """
     s = text.strip()
     if not s:
         raise ValueError(f"empty Laurent polynomial: {text!r}")
-    if s == "0":
-        return LaurentPoly.zero()
     pos = 0
     terms: list[tuple[int, int]] = []
-    first = True
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
+        if m["coeff"] is None and m["var"] is None:
             raise ValueError(f"bad Laurent polynomial at position {pos}: {text!r}")
-        sign = m.group("sign")
-        if sign is None and not first:
+        if m["sign"] is None and terms:
             raise ValueError(f"missing sign at position {pos}: {text!r}")
-        sgn = -1 if sign == "-" else 1
-        if m.group("coeff") is not None:
-            coeff = sgn * int(m.group("coeff"))
-            var = m.group("var1")
-            exp = int(m.group("exp1")) if m.group("exp1") else (1 if var else 0)
-        else:
-            coeff = sgn
-            exp = int(m.group("exp2")) if m.group("exp2") else 1
-        terms.append((exp, coeff))
+        coeff = int(m["coeff"] or 1)
+        exp = int(m["exp"]) if m["exp"] else (1 if m["var"] else 0)
+        terms.append((exp, -coeff if m["sign"] == "-" else coeff))
         pos = m.end()
-        first = False
     return LaurentPoly(terms)
 
 

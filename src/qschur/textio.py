@@ -6,8 +6,9 @@ Grammar::
     term    := ['(' laurent ')' '*'] factor+
     factor  := 'e^(' nat ')' | 'K[' nat ',' nat ']' | 'f^(' nat ')'
 
-Every term carries exactly one K factor; omitted e/f factors mean power
-zero.  Factors appear in basis order (e, K, f for EKF; f, K, e for FKE).
+Every term carries exactly one K factor, with the orientation's first generator
+at most once before it and its last at most once after it (e, K, f for EKF;
+f, K, e for FKE); an omitted e or f factor means power zero.
 The bare string ``0`` denotes the zero element.  Parsing straightens
 non-canonical monomials, so any well-formed input yields a canonical
 element.
@@ -54,6 +55,7 @@ def format_element(x: Element) -> str:
 _FACTOR_RE = re.compile(
     r"(?P<gen>[ef])\^\(\s*(?P<pow>\d+)\s*\)|K\[\s*(?P<b1>\d+)\s*,\s*(?P<b2>\d+)\s*\]"
 )
+_SPACE_RE = re.compile(r"\s*")
 
 
 def _add_reduced(acc: dict, ctx: Context, orientation: str, quad, coeff: LaurentPoly) -> None:
@@ -65,11 +67,8 @@ def _add_reduced(acc: dict, ctx: Context, orientation: str, quad, coeff: Laurent
 
 def _parse_term(text: str, start: int, end: int, orientation: str):
     """The (quad, coeff) pair of one term of the text grammar."""
-    pos = start
     coeff = LaurentPoly.one()
-    # Optional parenthesized coefficient.
-    while pos < end and text[pos].isspace():
-        pos += 1
+    pos = _SPACE_RE.match(text, start, end).end()
     if pos < end and text[pos] == "(":
         # parse_element splits balanced text at depth zero, so the ")" is in this term.
         close = text.find(")", pos)
@@ -77,46 +76,32 @@ def _parse_term(text: str, start: int, end: int, orientation: str):
             coeff = parse_laurent(text[pos + 1 : close])
         except ValueError as exc:
             raise ParseError(f"bad coefficient: {exc}", pos + 1) from None
-        pos = close + 1
-        while pos < end and text[pos].isspace():
-            pos += 1
-        if pos >= end or text[pos] != "*":
+        pos = _SPACE_RE.match(text, close + 1, end).end()
+        if not text.startswith("*", pos, end):
             raise ParseError("expected '*' after coefficient", pos)
         pos += 1
 
     first, last = GENERATOR_ORDER[orientation]
-    a = c = None
-    pair = None
-    stage = 0  # 0: expect first gen or K; 1: expect K; 2: expect last gen or end
-    while True:
-        while pos < end and text[pos].isspace():
-            pos += 1
-        if pos >= end:
-            break
-        m = _FACTOR_RE.match(text, pos)
-        if not m or m.end() > end:
+    a = pair = c = None
+    while (pos := _SPACE_RE.match(text, pos, end).end()) < end:
+        m = _FACTOR_RE.match(text, pos, end)
+        if not m:
             raise ParseError("expected a factor like e^(1), K[0,1] or f^(1)", pos)
-        if m.group("gen"):
-            gen, power = m.group("gen"), int(m.group("pow"))
-            if gen == first:
-                if stage != 0:
-                    raise ParseError(f"{gen} factor out of order for {orientation}", pos)
-                a = power
-                stage = 1
-            else:
-                if stage != 2 or c is not None:
-                    raise ParseError(f"{gen} factor out of order for {orientation}", pos)
-                c = power
+        gen = m["gen"]
+        if gen == first and a is None and pair is None:
+            a = int(m["pow"])
+        elif gen == last and pair is not None and c is None:
+            c = int(m["pow"])
+        elif gen:
+            raise ParseError(f"{gen} factor out of order for {orientation}", pos)
+        elif pair is None:
+            pair = (int(m["b1"]), int(m["b2"]))
         else:
-            if stage == 2:
-                raise ParseError("duplicate K factor", pos)
-            pair = (int(m.group("b1")), int(m.group("b2")))
-            stage = 2
+            raise ParseError("duplicate K factor", pos)
         pos = m.end()
     if pair is None:
         raise ParseError("term is missing its K[b1,b2] factor", start)
-    quad = (a if a is not None else 0, pair[0], pair[1], c if c is not None else 0)
-    return quad, coeff
+    return (a or 0, *pair, c or 0), coeff
 
 
 def parse_element(source: str | dict, ctx: Context, orientation: str = EKF) -> Element:

@@ -1,5 +1,6 @@
 """Ring arithmetic, quantum combinatorics, and serialization."""
 
+import re
 from types import MappingProxyType
 
 import pytest
@@ -341,3 +342,47 @@ def test_parse_rejects_garbage():
         with pytest.raises(ValueError, match="empty"):
             parse_laurent(empty)
     assert parse_laurent(" 0 ").is_zero
+
+
+# parse_laurent's three messages; a position counts in the stripped text.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("  ", "empty Laurent polynomial: '  '"),
+        (" v^", "bad Laurent polynomial at position 1: ' v^'"),
+        ("*v", "bad Laurent polynomial at position 0: '*v'"),
+        ("1 +", "bad Laurent polynomial at position 2: '1 +'"),
+        ("2v + 1 1", "missing sign at position 7: '2v + 1 1'"),
+    ],
+)
+def test_every_laurent_parse_error_is_pinned(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_laurent(text)
+    assert str(err.value) == message
+
+
+@given(
+    polys,
+    st.sampled_from(["*", " * ", "\t*"]),
+    st.text(" \t", max_size=3),
+    st.text(" \t", max_size=3),
+)
+def test_parse_reads_looser_spellings_of_str(x, star, before, after):
+    text = re.sub(r"(\d)v", lambda m: m[1] + star + "v", str(x))
+    text = re.sub(r" ([+-]) ", lambda m: before + m[1] + after, text)
+    text = re.sub(r"^-", "-" + after, text)
+    assert parse_laurent(text) == x
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("2*", LaurentPoly({0: 2})),
+        ("3 v", LaurentPoly({1: 3})),
+        ("- v^-2", LaurentPoly({-2: -1})),
+        (" 0 ", LaurentPoly()),
+        ("v\x1c+ 1", LaurentPoly({1: 1, 0: 1})),
+    ],
+)
+def test_parse_keeps_its_quirks(text, want):
+    assert parse_laurent(text) == want

@@ -51,5 +51,6 @@ def test_the_cli_examples_print_what_the_readme_shows(tmp_path, monkeypatch, cap
         ("table", 0, False),
         ("verify", 0, False),
         ("verify", 1, False),
+        ("multiply", 2, False),
     ]
     assert (tmp_path / "table_d2.jsonl").stat().st_size > 0

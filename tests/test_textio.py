@@ -78,6 +78,48 @@ def test_parse_error_positions():
         parse_element("(v", ctx)
 
 
+# One row per raise of the text reader: (case, text, orientation, str(exc), position).
+PARSE_ERRORS = [
+    ("empty", "  ", EKF, "empty element text", 0),
+    ("stray-close", "K[1,0])", EKF, "unbalanced parenthesis", 6),
+    ("unclosed-open", "(v) * K[1,0] + (1", EKF, "unbalanced parenthesis", 16),
+    ("leading-plus", "+ K[1,0]", EKF, "empty term", 0),
+    ("doubled-plus", "K[1,0] + + K[0,1]", EKF, "empty term", 8),
+    ("trailing-plus", "K[1,0] + ", EKF, "empty term", 8),
+    (
+        "bad-coefficient",
+        "(v^) * K[1,0]",
+        EKF,
+        "bad coefficient: bad Laurent polynomial at position 1: 'v^'",
+        1,
+    ),
+    ("missing-star", "(v) K[1,0]", EKF, "expected '*' after coefficient", 4),
+    ("bad-factor", "K[1,0] g^(1)", EKF, "expected a factor like e^(1), K[0,1] or f^(1)", 7),
+    ("first-after-K-ekf", "K[0,1] e^(1)", EKF, "e factor out of order for EKF", 7),
+    ("first-after-K-fke", "K[1,0] f^(1)", FKE, "f factor out of order for FKE", 7),
+    ("first-twice-ekf", "e^(1) e^(1) K[0,1]", EKF, "e factor out of order for EKF", 6),
+    ("first-twice-fke", "f^(1) f^(1) K[1,0]", FKE, "f factor out of order for FKE", 6),
+    ("last-before-K-ekf", "f^(1) K[1,0]", EKF, "f factor out of order for EKF", 0),
+    ("last-before-K-fke", "e^(1) K[0,1]", FKE, "e factor out of order for FKE", 0),
+    ("last-twice-ekf", "K[1,0] f^(1) f^(1)", EKF, "f factor out of order for EKF", 13),
+    ("last-twice-fke", "K[0,1] e^(1) e^(1)", FKE, "e factor out of order for FKE", 13),
+    ("duplicate-K", "K[1,0] K[0,1]", EKF, "duplicate K factor", 7),
+    ("missing-K", "K[1,0] + e^(1)", EKF, "term is missing its K[b1,b2] factor", 8),
+]
+
+
+@pytest.mark.parametrize(
+    "text, orientation, message, position",
+    [row[1:] for row in PARSE_ERRORS],
+    ids=[row[0] for row in PARSE_ERRORS],
+)
+def test_every_parse_error_names_its_message_and_position(text, orientation, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, Context(1), orientation)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_format_examples():
     ctx = Context(2)
     x = Element(
