@@ -29,10 +29,6 @@ from .textio import element_json_text, element_to_json, format_element, parse_el
 TABLE_MAX_D = 6
 
 
-class UsageError(Exception):
-    pass
-
-
 def _orientation(value: str) -> str:
     value = value.lower()
     if value == "ekf":
@@ -67,14 +63,14 @@ def _read_operand(value: str) -> str | dict:
     return stripped
 
 
+def _sink(out: str | None):
+    """The file ``out`` opened for writing, or stdout when no file is named."""
+    return open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+    with _sink(out) as fh:
+        print(text, file=fh)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,21 +93,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lhs", required=True, help="element text/JSON, inline or a file path")
     p.add_argument("--rhs", required=True, help="element text/JSON, inline or a file path")
+    p.set_defaults(run=cmd_multiply)
 
     p = sub.add_parser("reduce", help="straighten a single monomial")
     common(p)
     p.add_argument(
         "--monomial", type=_quadruple, required=True, help="quadruple a,b1,b2,c"
     )
+    p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("basis", help="list the canonical basis monomials")
     common(p)
+    p.set_defaults(run=cmd_basis)
 
     # table always writes JSON lines, so it takes no --format.
     p = sub.add_parser("table", help="emit all structure constants as JSON lines")
     p.add_argument("--d", type=int, required=True, help="degree d >= 0")
     p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--max-d-override", action="store_true")
+    p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("verify", help="run theorem-verification suites")
     common(p, orientation=False)
@@ -124,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="deliberately break the build so the suites must fail (self-test)",
     )
+    p.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -188,7 +189,7 @@ def _check_guard(args, guard: int, subject: str, warning: str) -> None:
     if args.d <= guard:
         return
     if not args.max_d_override:
-        raise UsageError(f"{subject} guarded at d <= {guard}; pass --max-d-override to force")
+        raise ValueError(f"{subject} guarded at d <= {guard}; pass --max-d-override to force")
     print(f"warning: {warning}", file=sys.stderr)
 
 
@@ -228,7 +229,7 @@ def cmd_table(args) -> int:
     # and its image (tau j, tau i) only the first to be written is multiplied;
     # the text of the other's product is held until its line comes up.
     held: dict[tuple[int, int], str] = {}
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+    with _sink(args.out) as fh:
         for i, (right, head, x, ti) in enumerate(operands):
             row = zero_tails.copy()
             for j, middle, y, tj in starting_at.get(right, ()):
@@ -273,16 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "multiply": cmd_multiply,
-        "reduce": cmd_reduce,
-        "basis": cmd_basis,
-        "table": cmd_table,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:  # parse and JSON errors are ValueErrors
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # parse, JSON and guard errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -375,13 +375,13 @@ def parse_laurent(text: str) -> LaurentPoly:
     >>> parse_laurent("v^2 - 3 + 2 * v^-1")
     LaurentPoly('v^2 - 3 + 2v^-1')
     """
-    s = text.strip()
-    if not s:
+    end = len(text.rstrip())
+    if not end:
         raise ValueError(f"empty Laurent polynomial: {text!r}")
     pos = 0
     terms: list[tuple[int, int]] = []
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
+    while pos < end:
+        m = _TERM_RE.match(text, pos, end)
         if m["coeff"] is None and m["var"] is None:
             raise ValueError(f"bad Laurent polynomial at position {pos}: {text!r}")
         if m["sign"] is None and terms:

@@ -121,6 +121,8 @@ def parse_element(source: str | dict, ctx: Context, orientation: str = EKF) -> E
     boundaries = []
     for i, ch in enumerate(text):
         if ch == "(":
+            if not depth:
+                opened = i
             depth += 1
         elif ch == ")":
             depth -= 1
@@ -130,7 +132,7 @@ def parse_element(source: str | dict, ctx: Context, orientation: str = EKF) -> E
             boundaries.append((start, i))
             start = i + 1
     if depth != 0:
-        raise ParseError("unbalanced parenthesis", len(text) - 1)
+        raise ParseError("unbalanced parenthesis", opened)
     boundaries.append((start, len(text)))
     acc: dict = {}
     for s, e in boundaries:

@@ -28,6 +28,7 @@ from qschur.oracle import (
 )
 from qschur.suites import SUITES, _weyl_with_short_e, run_suite, run_suites, schur_dimension
 from tensor_power import tensor_rep
+from test_golden import CHECK_COUNT
 
 ONE = LaurentPoly.one()
 V = LaurentPoly.v
@@ -159,10 +160,10 @@ def test_criterion_9_negative_controls(monkeypatch):
     ],
 )
 def test_check_outcomes_match_their_golden_digest(fault, prefix, failing):
-    # Ids, outcomes and witnesses of all 452 checks at d=4, healthy and under
+    # Ids, outcomes and witnesses of all the checks at d=4, healthy and under
     # each fault; faster evaluation must leave every one of them unchanged.
     checks = run_suites(list(SUITES), 4, seed=0, fault=fault)["checks"]
-    assert len(checks) == 452
+    assert len(checks) == CHECK_COUNT
     assert sum(not c["pass"] for c in checks) == failing
     rows = [[c["id"], c["pass"], c.get("witness")] for c in checks]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest().startswith(prefix)

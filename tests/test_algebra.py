@@ -40,6 +40,7 @@ from qschur import algebra, oracle, suites
 from qschur.suites import random_element
 from qschur.laurent import LaurentPoly, gauss_binomial, quantum_factorial, quantum_int
 from qschur.suites import _UnstraightenedContext, run_suite
+from test_golden import CHECK_COUNT
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -898,7 +899,7 @@ def test_the_mutation_matrix(monkeypatch, row):
         monkeypatch.setattr(suites, name, wrapped)
     for d in (2, 3, 4):
         report = suites.run_suites(list(suites.SUITES), d)
-        assert len(report["checks"]) == 452
+        assert len(report["checks"]) == CHECK_COUNT
         failed = {c["id"].split("/")[0] for c in report["checks"] if not c["pass"]}
         assert failed == failing, (d, failed)
 

@@ -1,0 +1,125 @@
+"""Each validation error of the library and the CLI: its exception type and message."""
+
+import pytest
+
+from qschur.algebra import (
+    EKF,
+    Context,
+    ContextMismatch,
+    Element,
+    IndexOutOfRange,
+    divided_power_element,
+)
+from qschur.cli import main
+from qschur.laurent import LaurentPoly, quantum_factorial
+from qschur.oracle import LaurentMatrix, build_rep, matrix_of_divided_power, matrix_of_element
+from qschur.suites import run_suite
+from qschur.textio import ParseError, element_from_json
+
+# One row per raise: (case, a call or a command line, the exception type or
+# the exit status of a command line, the message).  argparse turns a bad
+# argument into exit 2 and one `error:` line on stderr.
+VALIDATION_ERRORS = [
+    (
+        "cli-orientation",
+        ["basis", "--d", "1", "--orientation", "xyz"],
+        2,
+        "argument --orientation: orientation must be 'ekf' or 'fke', got 'xyz'",
+    ),
+    (
+        "cli-quadruple-length",
+        ["reduce", "--d", "1", "--monomial", "1,2"],
+        2,
+        "argument --monomial: expected a,b1,b2,c but got '1,2'",
+    ),
+    (
+        "cli-quadruple-integer",
+        ["reduce", "--d", "1", "--monomial", "1,2,x,0"],
+        2,
+        "argument --monomial: non-integer component in '1,2,x,0'",
+    ),
+    (
+        "divided-power-generator",
+        lambda: divided_power_element(Context(1), "g", 1),
+        ValueError,
+        "generator must be 'e' or 'f', got 'g'",
+    ),
+    (
+        "divided-power-exponent",
+        lambda: divided_power_element(Context(1), "e", -1),
+        IndexOutOfRange,
+        "divided-power exponent must be nonnegative",
+    ),
+    (
+        "matrix-divided-power-generator",
+        lambda: matrix_of_divided_power(build_rep(1), "g", 1),
+        ValueError,
+        "generator must be 'e' or 'f', got 'g'",
+    ),
+    (
+        "matrix-divided-power-exponent",
+        lambda: matrix_of_divided_power(build_rep(1), "e", -1),
+        ValueError,
+        "divided-power exponent must be nonnegative",
+    ),
+    (
+        "matrix-of-element-degree",
+        lambda: matrix_of_element(build_rep(1), Element(Context(2), EKF)),
+        ContextMismatch,
+        "element degree 2 differs from oracle degree 1",
+    ),
+    (
+        "matrix-entry-range",
+        lambda: LaurentMatrix(2, {(2, 0): 1}),
+        IndexError,
+        "entry (2,0) outside a 2x2 matrix",
+    ),
+    ("build-rep-degree", lambda: build_rep(-1), ValueError, "degree must be nonnegative"),
+    (
+        "run-suite-name",
+        lambda: run_suite("nope", 1),
+        ValueError,
+        "unknown suite 'nope'; choose from "
+        "('relations', 'idempotents', 'reduction', 'basis', 'oracle', 'lusztig')",
+    ),
+    (
+        "run-suite-fault",
+        lambda: run_suite("basis", 1, fault="nope"),
+        ValueError,
+        "unknown fault 'nope'; choose from (None, 'skip-reduction', 'broken-module')",
+    ),
+    (
+        "json-orientation",
+        lambda: element_from_json({"d": 1, "orientation": "XYZ", "terms": []}),
+        ParseError,
+        "bad orientation 'XYZ' (at position 0)",
+    ),
+    (
+        "quantum-factorial",
+        lambda: quantum_factorial(-1),
+        ValueError,
+        "quantum factorial of a negative integer",
+    ),
+    ("zero-degree", lambda: LaurentPoly.zero().degree(), ValueError, "zero polynomial has no degree"),
+    (
+        "zero-valuation",
+        lambda: LaurentPoly.zero().valuation(),
+        ValueError,
+        "zero polynomial has no valuation",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [row[1:] for row in VALIDATION_ERRORS],
+    ids=[row[0] for row in VALIDATION_ERRORS],
+)
+def test_every_validation_error_is_pinned(capsys, call, error, message):
+    if isinstance(call, list):
+        assert main(call) == error
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+    else:
+        with pytest.raises(error) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (error, message)

@@ -344,12 +344,12 @@ def test_parse_rejects_garbage():
     assert parse_laurent(" 0 ").is_zero
 
 
-# parse_laurent's three messages; a position counts in the stripped text.
+# parse_laurent's three messages; a position indexes the quoted text.
 @pytest.mark.parametrize(
     "text, message",
     [
         ("  ", "empty Laurent polynomial: '  '"),
-        (" v^", "bad Laurent polynomial at position 1: ' v^'"),
+        (" v^", "bad Laurent polynomial at position 2: ' v^'"),
         ("*v", "bad Laurent polynomial at position 0: '*v'"),
         ("1 +", "bad Laurent polynomial at position 2: '1 +'"),
         ("2v + 1 1", "missing sign at position 7: '2v + 1 1'"),

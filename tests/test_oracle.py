@@ -43,6 +43,7 @@ from qschur.oracle import (
     verify_defining_relations,
 )
 from tensor_power import tensor_rep
+from test_golden import CHECK_COUNT
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -314,7 +315,7 @@ def test_a_faulted_report_names_one_term_per_failed_equality():
     ):
         checks = suites.run_suites(list(suites.SUITES), 6, fault=fault)["checks"]
         failed = [c for c in checks if not c["pass"]]
-        assert len(checks) == 452 and len(failed) == failing
+        assert len(checks) == CHECK_COUNT and len(failed) == failing
         ids = json.dumps([c["id"] for c in failed]).encode()
         assert hashlib.sha256(ids).hexdigest().startswith(prefix)
         assert max(len(c["witness"]) for c in failed) <= 400
@@ -505,7 +506,7 @@ def test_the_broken_module_fails_every_suite_that_meets_e(d):
     # The short e fails every suite with matrix checks but idempotents, which
     # never uses e; at d = 0, where e is zero, the fault changes nothing.
     report = suites.run_suites(list(suites.SUITES), d, fault="broken-module")
-    assert len(report["checks"]) == 452
+    assert len(report["checks"]) == CHECK_COUNT
     assert _failed_suites(report) == (ORACLE_SUITES if d else set())
     assert suites.run_suites(list(suites.SUITES), d)["pass"]
 
@@ -515,7 +516,7 @@ def test_the_fault_runs_every_suite_past_the_old_tensor_cap():
     # tensor power.  The wrong Weyl module is built at every degree, so each
     # suite runs and fails checks instead of reporting a failed build.
     report = suites.run_suites(list(suites.SUITES), 7, fault="broken-module")
-    assert len(report["checks"]) == 452
+    assert len(report["checks"]) == CHECK_COUNT
     assert _failed_suites(report) == ORACLE_SUITES
     assert not any(c["id"].endswith("/oracle-build") for c in report["checks"])
 

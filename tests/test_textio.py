@@ -82,7 +82,8 @@ def test_parse_error_positions():
 PARSE_ERRORS = [
     ("empty", "  ", EKF, "empty element text", 0),
     ("stray-close", "K[1,0])", EKF, "unbalanced parenthesis", 6),
-    ("unclosed-open", "(v) * K[1,0] + (1", EKF, "unbalanced parenthesis", 16),
+    ("unclosed-open", "(v) * K[1,0] + (1", EKF, "unbalanced parenthesis", 15),
+    ("unclosed-open-long-tail", "(1 + K[1,0]", EKF, "unbalanced parenthesis", 0),
     ("leading-plus", "+ K[1,0]", EKF, "empty term", 0),
     ("doubled-plus", "K[1,0] + + K[0,1]", EKF, "empty term", 8),
     ("trailing-plus", "K[1,0] + ", EKF, "empty term", 8),
