@@ -336,6 +336,14 @@ def reduce_monomial(
     return Element._raw(ctx, orientation, dict(terms))
 
 
+def _add_reduced(acc: dict, ctx: Context, orientation: str, quad, coeff: LaurentPoly) -> None:
+    """acc += coeff * reduce_monomial(quad), in place: the one way the parsers
+    and the K-binomial units sum straightened monomials, so an input of n
+    terms costs time linear in n."""
+    for m, c in reduce_monomial(ctx, quad, orientation).terms.items():
+        _add_term(acc, m, c * coeff)
+
+
 # ---------------------------------------------------------------------------
 # Multiplication
 # ---------------------------------------------------------------------------
@@ -495,10 +503,8 @@ def _kbinom_unit(ctx: Context, a: int, b: int, c: int) -> Element:
         terms: dict[Monomial, LaurentPoly] = {}
         for b1, b2 in ctx.idempotents:
             coeff = gauss_binomial(b1, b)
-            if coeff.is_zero:
-                continue
-            for mono, r in reduce_monomial(ctx, (a, b1, b2, c)).terms.items():
-                _add_term(terms, mono, r * coeff)
+            if not coeff.is_zero:
+                _add_reduced(terms, ctx, EKF, (a, b1, b2, c), coeff)
         unit = ctx._kbinom_units[(a, b, c)] = Element._raw(ctx, EKF, terms)
     return unit
 

@@ -30,10 +30,9 @@ TABLE_MAX_D = 6
 
 
 def _orientation(value: str) -> str:
-    value = value.lower()
-    if value == "ekf":
+    if value.lower() == "ekf":
         return EKF
-    if value == "fke":
+    if value.lower() == "fke":
         return FKE
     raise argparse.ArgumentTypeError(f"orientation must be 'ekf' or 'fke', got {value!r}")
 
@@ -200,6 +199,9 @@ def cmd_table(args) -> int:
     one = LaurentPoly.one()
     basis = ctx.monomials(EKF)
     index = {m: i for i, m in enumerate(basis)}
+    # The zero product's text stays an element_to_json call, not
+    # element_json_text: bench/tracing.py's EXPECTED_SPANS["table"] requires a
+    # textio.element_to_json span in every traced table run.
     zero = json.dumps(element_to_json(Element(ctx, EKF)))
     # Per lhs: its right idempotent, the line's head, the element itself and
     # the index of its image under the anti-involution.  Per rhs column: the

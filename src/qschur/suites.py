@@ -49,17 +49,15 @@ def schur_dimension(d: int) -> int:
     return comb(d + 3, 3)
 
 
-def random_element(
-    ctx: Context, rng: random.Random, orientation: str = EKF, max_terms: int = 3
-) -> algebra.Element:
-    """A small random canonical element with coefficients c v^k, c in {±1, ±2}, |k| <= 2."""
-    basis = ctx.monomials(orientation)
+def random_element(ctx: Context, rng: random.Random, max_terms: int = 3) -> algebra.Element:
+    """A small random canonical EKF element with coefficients c v^k, c in {±1, ±2}, |k| <= 2."""
+    basis = ctx.monomials(EKF)
     n = rng.randint(1, max_terms)
     terms: dict[algebra.Monomial, LaurentPoly] = {}
     for _ in range(n):
         m = rng.choice(basis)
         _add_term(terms, m, LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}))
-    return algebra.Element(ctx, orientation, terms)
+    return algebra.Element(ctx, EKF, terms)
 
 
 def _weyl_with_short_e(d: int):

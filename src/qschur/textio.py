@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 
-from .algebra import EKF, FKE, GENERATOR_ORDER, Context, Element, reduce_monomial, zero_element
-from .laurent import LaurentPoly, _add_term, _is_int, parse_laurent
+from .algebra import EKF, FKE, GENERATOR_ORDER, Context, Element, _add_reduced, zero_element
+from .laurent import LaurentPoly, _is_int, parse_laurent
 
 
 class ParseError(ValueError):
@@ -56,13 +56,6 @@ _FACTOR_RE = re.compile(
     r"(?P<gen>[ef])\^\(\s*(?P<pow>\d+)\s*\)|K\[\s*(?P<b1>\d+)\s*,\s*(?P<b2>\d+)\s*\]"
 )
 _SPACE_RE = re.compile(r"\s*")
-
-
-def _add_reduced(acc: dict, ctx: Context, orientation: str, quad, coeff: LaurentPoly) -> None:
-    """acc += coeff * reduce_monomial(quad), in place: the one way both parsers
-    sum their terms, so an input of n terms costs time linear in n."""
-    for m, c in reduce_monomial(ctx, quad, orientation).terms.items():
-        _add_term(acc, m, c * coeff)
 
 
 def _parse_term(text: str, start: int, end: int, orientation: str):

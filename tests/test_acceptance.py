@@ -3,10 +3,11 @@
 Every check is an exact algebraic identity, verified symbolically and/or
 against an independent oracle: the Weyl-module representation that the
 suites use, or the tensor power of the natural module (``tensor_power.py``
-beside this file), which criterion 1 builds at d <= 6.  The golden digests
-pin every check at d = 4, healthy and under each fault, once with its
-witness and once by verdict alone; the ``broken-module`` fault is the Weyl
-modules with a wrong coefficient in e.
+beside this file), which criterion 1 builds at d <= 6.  The last test runs
+the ``[id, pass]`` verdicts at d = 4, healthy and under each fault, against
+``VERDICT_DIGESTS`` in ``test_golden.py``, where every report and verdict
+pin is stated once; the ``broken-module`` fault is the Weyl modules with a
+wrong coefficient in e.
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one line per
 criterion.
 """
@@ -28,7 +29,7 @@ from qschur.oracle import (
 )
 from qschur.suites import SUITES, _weyl_with_short_e, run_suite, run_suites, schur_dimension
 from tensor_power import tensor_rep
-from test_golden import CHECK_COUNT
+from test_golden import CHECK_COUNT, VERDICT_DIGESTS
 
 ONE = LaurentPoly.one()
 V = LaurentPoly.v
@@ -153,33 +154,14 @@ def test_criterion_9_negative_controls(monkeypatch):
 
 @pytest.mark.parametrize(
     "fault, prefix, failing",
-    [
-        (None, "e0b40de54e35d310", 0),
-        ("broken-module", "e906bf5f82f7ebf3", 10),
-        ("skip-reduction", "470fea368ffd1409", 213),
-    ],
+    VERDICT_DIGESTS,
+    ids=[f"{fault}-{prefix}" for fault, prefix, _ in VERDICT_DIGESTS],
 )
-def test_check_outcomes_match_their_golden_digest(fault, prefix, failing):
-    # Ids, outcomes and witnesses of all the checks at d=4, healthy and under
-    # each fault; faster evaluation must leave every one of them unchanged.
-    checks = run_suites(list(SUITES), 4, seed=0, fault=fault)["checks"]
-    assert len(checks) == CHECK_COUNT
-    assert sum(not c["pass"] for c in checks) == failing
-    rows = [[c["id"], c["pass"], c.get("witness")] for c in checks]
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest().startswith(prefix)
-
-
-@pytest.mark.parametrize(
-    "fault, prefix",
-    [
-        (None, "450f79fa650afe42"),
-        ("broken-module", "600a86f848ac4b06"),
-        ("skip-reduction", "3665b4e0ff205259"),
-    ],
-)
-def test_check_verdicts_match_their_golden_digest(fault, prefix):
+def test_check_verdicts_match_their_golden_digest(fault, prefix, failing):
     # Ids and outcomes alone, witnesses left out: a change that only rewords
     # a witness must leave every check's verdict unchanged.
     checks = run_suites(list(SUITES), 4, seed=0, fault=fault)["checks"]
+    assert len(checks) == CHECK_COUNT
+    assert sum(not c["pass"] for c in checks) == failing
     rows = [[c["id"], c["pass"]] for c in checks]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest().startswith(prefix)

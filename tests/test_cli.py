@@ -11,6 +11,7 @@ from qschur.cli import main
 from qschur.laurent import LaurentPoly
 from qschur.oracle import build_rep, matrix_of_element
 from qschur.textio import element_from_json, element_to_json, parse_element
+from test_golden import TABLE_DIGESTS
 
 
 def run(capsys, *argv):
@@ -294,37 +295,15 @@ def test_table_guard(tmp_path, capsys):
     assert err == "warning: d=7 exceeds the table guard; this may take a while\n"
 
 
-# The sha256 (or its 12-character prefix) of `table --d d`'s stdout.  The
-# lines are assembled by hand: each lhs row is a copy of one per-run template
-# of zero-product line tails with only its meeting columns overwritten; each
-# monomial's and each coefficient's text is formatted once per run; and half
-# the products are written from the anti-involution's image of another.
-# d = 0, 1 and 2 cover the degenerate and smallest tables; d = 7, 8 and 10 are
-# past the table guard, and d = 10 also covers the pairs skipped as zero and
-# the reuse of straightened monomials past the benchmarked degree.
-TABLE_DIGESTS = {
-    0: "bdf2ade51218",
-    1: "f8a9796d5efa",
-    2: "add67ec44488d13c9212f88050050c08b439b1b5ff3b4e9832db772763f41d75",
-    3: "afa17c11b5ae",
-    4: "535e89ddc9461df54b463d24d091aa48f5b1a0e2bcff0e57e47a72d176c129a9",
-    5: "4682d36af82570a199213fef8d58146bb692014ea3a7285bc8419340b2d0ecf5",
-    6: "1b66f38b87bfc5cd7468d201801cab1bcb89ae29845f4c9302572df42ab1171f",
-    7: "b7e53467bc63",
-    8: "b347fd59cb32",
-    10: "30ee4929ccaf",
-}
-
-
 def _table(capsys, d, *out):
     override = ("--max-d-override",) if d > cli.TABLE_MAX_D else ()
     return run(capsys, "table", "--d", str(d), *override, *out)
 
 
 def test_table_bytes_are_pinned(tmp_path, capsys):
-    # The recorded digests, and stdout equal to the --out file that the
-    # benchmark times; within the guard, every line is exactly what
-    # json.dumps gives for the parsed line.
+    # The digests recorded in tests/test_golden.py, and stdout equal to the
+    # --out file that the benchmark times; within the guard, every line is
+    # exactly what json.dumps gives for the parsed line.
     for d, digest in TABLE_DIGESTS.items():
         code, out, _ = _table(capsys, d)
         assert code == 0

@@ -22,9 +22,9 @@ from qschur.textio import ParseError, element_from_json
 VALIDATION_ERRORS = [
     (
         "cli-orientation",
-        ["basis", "--d", "1", "--orientation", "xyz"],
+        ["basis", "--d", "1", "--orientation", "XYZ"],
         2,
-        "argument --orientation: orientation must be 'ekf' or 'fke', got 'xyz'",
+        "argument --orientation: orientation must be 'ekf' or 'fke', got 'XYZ'",
     ),
     (
         "cli-quadruple-length",

@@ -1,8 +1,6 @@
 """The matrix representations and their verification machinery."""
 
-import hashlib
 import inspect
-import json
 import operator
 import re
 from functools import lru_cache
@@ -308,16 +306,11 @@ def test_a_faulted_report_names_one_term_per_failed_equality():
     # Most lusztig identities fail under skip-reduction; each witness names
     # one term, so it stays short however large the two sides grow.  A
     # failed sweep names its first failing instance, then that term; the
-    # other sweeps that fail here crash.
-    for fault, failing, prefix, swept in (
-        ("skip-reduction", 225, "f2ae8e97e249242e", 2),
-        ("broken-module", 10, "4a0b779481496bd6", 7),
-    ):
+    # other sweeps that fail here crash.  Which checks fail is pinned by the
+    # d = 6 rows of tests/test_golden.py::REPORT_DIGESTS.
+    for fault, swept in (("skip-reduction", 2), ("broken-module", 7)):
         checks = suites.run_suites(list(suites.SUITES), 6, fault=fault)["checks"]
         failed = [c for c in checks if not c["pass"]]
-        assert len(checks) == CHECK_COUNT and len(failed) == failing
-        ids = json.dumps([c["id"] for c in failed]).encode()
-        assert hashlib.sha256(ids).hexdigest().startswith(prefix)
         assert max(len(c["witness"]) for c in failed) <= 400
         sweeps = [c["witness"] for c in failed if c["id"] in _SWEEP_CHECKS]
         named = [w for w in sweeps if _SWEEP_WITNESS.fullmatch(w)]
@@ -480,17 +473,6 @@ def test_weyl_and_tensor_oracles_give_the_same_reports(fault, monkeypatch):
         assert _suite_checks(d, fault) == weyl[d], f"d={d}"
     if fault is not None:
         assert not all(passed for _, passed, _ in weyl[5])
-
-
-def test_the_weyl_oracle_backs_every_suite_at_every_degree():
-    checks = suites.run_suite("oracle", 2)["checks"]
-    assert {"id": "sym-associativity", "pass": True} in checks
-    assert {"id": "sym-nilpotency-index", "pass": True} in checks
-    # At d = 11, where the tensor power would have 2048 dimensions.
-    report = suites.run_suite("relations", 11)
-    assert report["pass"] and len(report["checks"]) == 32
-    checks = suites.run_suite("idempotents", 10)["checks"]
-    assert {"id": "orc-projector-partition", "pass": True} in checks
 
 
 # The suites with matrix checks; lusztig checks multiply alone.

@@ -135,13 +135,22 @@ def test_format_examples():
     assert format_element(Element(ctx, EKF)) == "0"
 
 
+def _random_element(ctx, rng, orientation):
+    """A random canonical element; an FKE one relabels an EKF draw by
+    Monomial.swapped, which maps the EKF basis onto the FKE basis."""
+    x = random_element(ctx, rng, max_terms=4)
+    if orientation == EKF:
+        return x
+    return Element(ctx, FKE, {m.swapped(): c for m, c in x.terms.items()})
+
+
 def test_text_round_trip():
     rng = random.Random(11)
     for d in range(4):
         ctx = Context(d)
         for orientation in (EKF, FKE):
             for _ in range(10):
-                x = random_element(ctx, rng, orientation, max_terms=4)
+                x = _random_element(ctx, rng, orientation)
                 text = format_element(x)
                 assert parse_element(text, ctx, orientation) == x
                 # formatting is deterministic
@@ -154,7 +163,7 @@ def test_json_round_trip():
         ctx = Context(d)
         for orientation in (EKF, FKE):
             for _ in range(10):
-                x = random_element(ctx, rng, orientation, max_terms=4)
+                x = _random_element(ctx, rng, orientation)
                 data = element_to_json(x)
                 assert element_from_json(data, ctx) == x
                 # the JSON form itself is byte-deterministic
