@@ -77,7 +77,8 @@ class Context:
     and held as a tuple of ``(Monomial, LaurentPoly)`` pairs; and the EKF
     expansion of each K-binomial unit e^(a) [K1; b] f^(c) met, keyed by
     ``(a, b, c)``.  An expansion that raises stores nothing, and all three
-    die with the context.  A context is safe to share across threads: each
+    die with the context, so one ``verify`` run, whose suites share a
+    context, fills each once.  A context is safe to share across threads: each
     memo entry is a pure function of the context and its key, so a duplicate
     fill from two threads is harmless.
     """
@@ -322,12 +323,14 @@ def reduce_monomial(
     """A monomial in the canonical basis: itself if canonical, else :meth:`Context._straighten`.
 
     Each monomial is reduced once per context (see :class:`Context`); one
-    whose straightening raises is not stored.
+    whose straightening raises is not stored.  A key is stored only after its
+    quadruple is validated, so a memo hit checks b2 = d - b1 alone.
     """
-    mono = _checked_monomial(ctx, quad, orientation)
-    key = (mono.a, mono.b1, mono.c, orientation)
+    a, b1, b2, c = quad
+    key = (a, b1, c, orientation)
     terms = ctx._straightened.get(key)
-    if terms is None:
+    if terms is None or b2 != ctx.d - b1:
+        mono = _checked_monomial(ctx, quad, orientation)
         if ctx.is_canonical(mono):
             terms = ((mono, LaurentPoly.one()),)
         else:
@@ -414,11 +417,11 @@ def multiply(x: Element, y: Element) -> Element:
     orthogonal; y's terms are filed by ``left`` once, so such a pair is never
     visited and no binomial is computed for it.
     """
-    x._require_compatible(y)
+    ctx = x.ctx
+    if ctx is not y.ctx or x.orientation != y.orientation:
+        x._require_compatible(y)
     if x.orientation == FKE:
-        ex = _relabel(x, EKF)
-        ey = _relabel(y, EKF)
-        return _relabel(multiply(ex, ey), FKE)
+        return _relabel(multiply(_relabel(x, EKF), _relabel(y, EKF)), FKE)
 
     starting_at: dict[int, list[tuple[Monomial, LaurentPoly]]] = {}
     for n, w in y.terms.items():
@@ -426,8 +429,8 @@ def multiply(x: Element, y: Element) -> Element:
     terms: dict[Monomial, LaurentPoly] = {}
     for m, u in x.terms.items():
         for n, w in starting_at.get(m.right, ()):
-            _add_monomial_product(x.ctx, m, n, u * w, terms)
-    return Element._raw(x.ctx, EKF, terms)
+            _add_monomial_product(ctx, m, n, u * w, terms)
+    return Element._raw(ctx, EKF, terms)
 
 
 def _relabel(x: Element, target: str) -> Element:

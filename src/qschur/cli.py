@@ -1,7 +1,8 @@
 """Command-line surface: multiply, reduce, basis, table, verify.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
-parse or guard errors, so CI can gate directly on theorem suites.
+parse or guard errors, so CI can gate directly on theorem suites, and 141
+(128 + SIGPIPE), with nothing on stderr, when the reader closes stdout.
 """
 
 from __future__ import annotations
@@ -277,14 +278,27 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # so a closed pipe is met here, not at shutdown
+        return status
+    except BrokenPipeError:  # a closed stdout is not bad input
+        return 141
     except (ValueError, OSError) as exc:  # parse, JSON and guard errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    status = main()
+    if status == 141:
+        # stdout is closed, and Python flushes it again at exit, so it is
+        # pointed at the null device, as the signal module's documentation
+        # advises.  This is done here, where the process ends, so that a
+        # caller of main keeps its stdout.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

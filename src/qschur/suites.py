@@ -57,7 +57,7 @@ def random_element(ctx: Context, rng: random.Random, max_terms: int = 3) -> alge
     for _ in range(n):
         m = rng.choice(basis)
         _add_term(terms, m, LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}))
-    return algebra.Element(ctx, EKF, terms)
+    return algebra.Element._raw(ctx, EKF, terms)
 
 
 def _weyl_with_short_e(d: int):
@@ -568,20 +568,27 @@ _SUITE_TABLE = {
 SUITES = tuple(_SUITE_TABLE)
 
 
-def run_suite(name: str, d: int, *, seed: int = 0, fault: str | None = None) -> dict:
+def _new_context(d: int, fault: str | None) -> Context:
+    return _UnstraightenedContext(d) if fault == "skip-reduction" else Context(d)
+
+
+def run_suite(
+    name: str, d: int, *, seed: int = 0, fault: str | None = None, _ctx: Context | None = None
+) -> dict:
     """Run one named suite at degree d and return its report.
 
     The Weyl modules are built for every suite, at every d.  The
     ``broken-module`` fault gives e a wrong coefficient there and skips
     the build's self-check; at d = 0, where e is zero, it changes nothing.
     The ``skip-reduction`` fault straightens nothing.  A build that fails
-    is reported as one failed ``oracle-build`` check.
+    is reported as one failed ``oracle-build`` check.  The suite runs in a
+    new context unless :func:`run_suites` passes its own as ``_ctx``.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
-    ctx = _UnstraightenedContext(d) if fault == "skip-reduction" else Context(d)
+    ctx = _new_context(d, fault) if _ctx is None else _ctx
     try:
         rep = _build_rep(d, fault)
     except Exception as exc:  # a wrong oracle is a failed check, not a crash
@@ -594,12 +601,14 @@ def run_suites(
 ) -> dict:
     """Run several suites and merge their checks into one report.
 
-    All the suites share one representation, the one :func:`_build_rep`
-    keeps; if that build fails, each suite reports the failure itself.
+    All the suites share one context, so its memos are filled once per
+    call, and one representation, the one :func:`_build_rep` keeps; if
+    that build fails, each suite reports the failure itself.
     """
+    ctx = _new_context(d, fault)
     checks: list[dict] = []
     for name in names:
-        report = run_suite(name, d, seed=seed, fault=fault)
+        report = run_suite(name, d, seed=seed, fault=fault, _ctx=ctx)
         for c in report["checks"]:
             checks.append({**c, "id": f"{name}/{c['id']}"})
     return oracle._report(d, "+".join(names), checks)

@@ -4,6 +4,7 @@ import __future__
 import contextlib
 import inspect
 import itertools
+import json
 import random
 import re
 from functools import cache
@@ -561,6 +562,64 @@ def test_a_wrong_memo_entry_is_caught_by_the_reduction_suite(d):
     assert [c["id"] for c in checks if not c["pass"]] == ["orc-reduction-matches-raw-word-ekf"]
 
 
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize("fault", suites.FAULTS)
+def test_one_shared_context_reports_as_a_context_per_suite(d, fault):
+    # run_suites runs every suite in one context; run_suite alone builds its
+    # own.  The shared memos must not change a byte of the report.
+    for seed in (0, 7):
+        checks = [
+            {**c, "id": f"{name}/{c['id']}"}
+            for name in suites.SUITES
+            for c in run_suite(name, d, seed=seed, fault=fault)["checks"]
+        ]
+        merged = oracle._report(d, "+".join(suites.SUITES), checks)
+        shared = suites.run_suites(list(suites.SUITES), d, seed=seed, fault=fault)
+        assert json.dumps(shared) == json.dumps(merged)
+
+
+def test_run_suites_builds_one_context_per_call(monkeypatch):
+    built = []
+    init = Context.__init__
+
+    def counted(ctx, d):
+        built.append(ctx)
+        init(ctx, d)
+
+    monkeypatch.setattr(Context, "__init__", counted)
+    for d, fault in ((2, None), (3, "skip-reduction"), (2, "broken-module")):
+        for _ in range(2):  # no call reuses the context of the call before it
+            built.clear()
+            suites.run_suites(list(suites.SUITES), d, fault=fault)
+            assert len(built) == 1
+            unstraightened = fault == "skip-reduction"
+            assert type(built[0]) is (_UnstraightenedContext if unstraightened else Context)
+            built.clear()
+            run_suite("basis", d, fault=fault)
+            assert len(built) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_wrong_memo_entry_in_the_shared_context_fails_two_suites(monkeypatch, d):
+    # One EKF straightening, negated in the run's one context before the
+    # first suite runs, is read by every suite after it.
+    new_context = suites._new_context
+    quads = suites._straightened_quads(Context(d), EKF)
+    quad = next(q for q in quads if reduce_monomial(Context(d), q))
+    a, b1, _, c = quad
+    entry = tuple((m, -u) for m, u in reduce_monomial(Context(d), quad).terms.items())
+
+    def poisoned(d, fault):
+        ctx = new_context(d, fault)
+        ctx._straightened[a, b1, c, EKF] = entry
+        return ctx
+
+    monkeypatch.setattr(suites, "_new_context", poisoned)
+    report = suites.run_suites(list(suites.SUITES), d)
+    failed = {c["id"] for c in report["checks"] if not c["pass"]}
+    assert {"reduction/orc-reduction-matches-raw-word-ekf", "oracle/orc-homomorphism"} <= failed
+
+
 @pytest.mark.parametrize("orientation", [EKF, FKE])
 def test_left_and_right_name_the_idempotents_at_each_end(orientation):
     # K[left] M(m) = M(m) = M(m) K[right] in the Weyl oracle, and every basis
@@ -586,6 +645,7 @@ def test_left_and_right_name_the_idempotents_at_each_end(orientation):
 
 def test_multiply_rejects_mismatches():
     x = identity_element(Context(1))
+    assert multiply(x, identity_element(Context(1))) == x  # equal contexts need not be one
     y = identity_element(Context(2))
     with pytest.raises(ContextMismatch):
         multiply(x, y)

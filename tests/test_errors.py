@@ -1,7 +1,13 @@
 """Each validation error of the library and the CLI: its exception type and message."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qschur
 from qschur.algebra import (
     EKF,
     Context,
@@ -123,3 +129,50 @@ def test_every_validation_error_is_pinned(capsys, call, error, message):
         with pytest.raises(error) as err:
             call()
         assert (type(err.value), str(err.value)) == (error, message)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_quietly(unbuffered):
+    # `qschur basis --d 6 | head -1`: a reader that closed stdout is not bad
+    # input.  The read end is closed before the child starts, so its first
+    # write to stdout fails, whether it writes at once or on the last flush.
+    # The child exits 141 (128 + SIGPIPE, what `yes | head -1` gives) with
+    # nothing on stderr.
+    src = str(Path(qschur.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-B", "-m", "qschur", "basis", "--d", "6"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (141, b"")
+
+
+def test_a_closed_stdout_leaves_a_caller_of_main_its_stdout(monkeypatch):
+    # Called in process, main reports a closed stdout by its status alone:
+    # file descriptor 1 still names the same file, and no descriptor leaks.
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return 1
+
+    before = os.fstat(1)
+    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["basis", "--d", "6"]) == 141
+    monkeypatch.undo()
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    if open_fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == open_fds
