@@ -137,10 +137,13 @@ class Context:
         """A non-canonical monomial of defect s, straightened in the canonical basis.
 
         It is the sum over k = s..min(a,c) of (-1)^(k-s) [k-1; s-1] [b1+k; k]
-        e^(a-k) K[b1+k,b2-k] f^(c-k); FKE goes through the e<->f, K1<->K2 symmetry.
+        e^(a-k) K[b1+k,b2-k] f^(c-k).  FKE goes through the e<->f, K1<->K2
+        symmetry: it relabels the EKF reduction of its mirror, which
+        :func:`reduce_monomial` reads from this context's memo, so a mirror
+        already straightened is not straightened again.
         """
         if m.orientation == FKE:
-            return _relabel(self._straighten(m.swapped()), FKE)
+            return _relabel(reduce_monomial(self, (m.a, m.b2, m.b1, m.c), EKF), FKE)
         s = m.fake_degree - self.d
         terms: dict[Monomial, LaurentPoly] = {}
         for k in range(s, min(m.a, m.c) + 1):
@@ -415,7 +418,8 @@ def multiply(x: Element, y: Element) -> Element:
     A pair of EKF monomials m, n multiplies to zero unless
     ``m.right == n.left`` (b1 + c = b1' + a'), since the idempotents are
     orthogonal; y's terms are filed by ``left`` once, so such a pair is never
-    visited and no binomial is computed for it.
+    visited and no binomial is computed for it.  Both ends are read as their
+    EKF sums, the only orientation multiplied here.
     """
     ctx = x.ctx
     if ctx is not y.ctx or x.orientation != y.orientation:
@@ -425,10 +429,10 @@ def multiply(x: Element, y: Element) -> Element:
 
     starting_at: dict[int, list[tuple[Monomial, LaurentPoly]]] = {}
     for n, w in y.terms.items():
-        starting_at.setdefault(n.left, []).append((n, w))
+        starting_at.setdefault(n.b1 + n.a, []).append((n, w))
     terms: dict[Monomial, LaurentPoly] = {}
     for m, u in x.terms.items():
-        for n, w in starting_at.get(m.right, ()):
+        for n, w in starting_at.get(m.b1 + m.c, ()):
             _add_monomial_product(ctx, m, n, u * w, terms)
     return Element._raw(ctx, EKF, terms)
 

@@ -49,6 +49,12 @@ def schur_dimension(d: int) -> int:
     return comb(d + 3, 3)
 
 
+# The coefficients s v^k of random_element, keyed by (k, s); no operation
+# changes a polynomial in place, so every draw may share them.
+_SCALARS = (-2, -1, 1, 2)
+_RANDOM_COEFFS = {(k, s): LaurentPoly({k: s}) for k in range(-2, 3) for s in _SCALARS}
+
+
 def random_element(ctx: Context, rng: random.Random, max_terms: int = 3) -> algebra.Element:
     """A small random canonical EKF element with coefficients c v^k, c in {±1, ±2}, |k| <= 2."""
     basis = ctx.monomials(EKF)
@@ -56,7 +62,7 @@ def random_element(ctx: Context, rng: random.Random, max_terms: int = 3) -> alge
     terms: dict[algebra.Monomial, LaurentPoly] = {}
     for _ in range(n):
         m = rng.choice(basis)
-        _add_term(terms, m, LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 2])}))
+        _add_term(terms, m, _RANDOM_COEFFS[rng.randint(-2, 2), rng.choice(_SCALARS)])
     return algebra.Element._raw(ctx, EKF, terms)
 
 
@@ -259,10 +265,10 @@ def _straightened_quads(ctx: Context, orientation: str):
     d = ctx.d
     for a in range(d + 1):
         for b1 in range(d + 1):
+            middle = b1 if orientation == EKF else d - b1
             for c in range(d + 1):
-                quad = (a, b1, d - b1, c)
-                if algebra.reduction_defect(ctx, quad, orientation) > 0:
-                    yield quad
+                if a + middle + c > d:
+                    yield (a, b1, d - b1, c)
 
 
 def suite_reduction(d: int, ctx: Context, rep, seed: int = 0):
@@ -311,10 +317,7 @@ def suite_basis(d: int, ctx: Context, rep, seed: int = 0):
             basis = ctx.monomials(orientation)
             mats = [
                 oracle.matrix_of_element(
-                    rep,
-                    algebra.Element(
-                        ctx, orientation, {m: LaurentPoly.one()}
-                    ),
+                    rep, algebra.Element._raw(ctx, orientation, {m: LaurentPoly.one()})
                 )
                 for m in basis
             ]
@@ -390,7 +393,7 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0):
         basis = ctx.monomials(EKF)
         index = {m: i for i, m in enumerate(basis)}
         ends = [(m.left, m.right) for m in basis]
-        units = [algebra.Element(ctx, EKF, {m: LaurentPoly.one()}) for m in basis]
+        units = [algebra.Element._raw(ctx, EKF, {m: LaurentPoly.one()}) for m in basis]
         matrices = [oracle.matrix_of_element(rep, x) for x in units]
         tau = [index[image] for x in units for image in algebra.anti_involution(x).terms]
         held: dict[tuple[int, int], algebra.Element] = {}
@@ -449,8 +452,8 @@ def suite_oracle(d: int, ctx: Context, rep, seed: int = 0):
         for _ in range(20):
             m1 = rng.choice(fke_basis)
             m2 = rng.choice(fke_basis)
-            x = algebra.Element(ctx, FKE, {m1: LaurentPoly.one()})
-            y = algebra.Element(ctx, FKE, {m2: LaurentPoly.one()})
+            x = algebra.Element._raw(ctx, FKE, {m1: LaurentPoly.one()})
+            y = algebra.Element._raw(ctx, FKE, {m2: LaurentPoly.one()})
             got = oracle.matrix_of_element(rep, multiply(x, y))
             yield (m1, m2), got, oracle.matrix_of_element(rep, x) * oracle.matrix_of_element(rep, y)
 

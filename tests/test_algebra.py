@@ -1,6 +1,7 @@
 """The symbolic algebra: idempotent calculus, straightening, multiplication."""
 
 import __future__
+import collections
 import contextlib
 import inspect
 import itertools
@@ -147,6 +148,30 @@ def test_identity_is_neutral():
             x = random_element(ctx, rng)
             assert multiply(ident, x) == x
             assert multiply(x, ident) == x
+
+
+def reference_random_element(ctx, rng, max_terms=3):
+    """random_element drawn with a fresh LaurentPoly per coefficient and a checked Element."""
+    basis = ctx.monomials(EKF)
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        m = rng.choice(basis)
+        k = rng.randint(-2, 2)
+        s = rng.choice([-2, -1, 1, 2])
+        terms.append((m, LaurentPoly({k: s})))
+    return Element(ctx, EKF, terms)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_random_element_matches_a_reference_draw(d):
+    ctx = Context(d)
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for max_terms in (3, 4):
+            for _ in range(20):
+                got = random_element(ctx, rng, max_terms)
+                assert got == reference_random_element(ctx, ref, max_terms)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_idempotent_products():
@@ -497,6 +522,23 @@ def test_reduce_monomial_straightens_each_monomial_once_per_context(monkeypatch,
             assert calls == []
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_one_verify_run_straightens_each_monomial_once(monkeypatch, d):
+    # An FKE straightening reads the EKF memo entry of its mirror, so no
+    # EKF monomial is straightened again inside an FKE one.
+    calls = collections.Counter()
+    healthy = Context._straighten
+
+    def counted(ctx, m):
+        calls[m] += 1
+        return healthy(ctx, m)
+
+    monkeypatch.setattr(Context, "_straighten", counted)
+    assert suites.run_suites(list(suites.SUITES), d)["pass"]
+    assert {m.orientation for m in calls} == {EKF, FKE}
+    assert max(calls.values()) == 1
+
+
 def test_an_element_from_reduce_monomial_does_not_alias_the_memo():
     ctx = Context(2)
     planted = {EKF: Monomial(0, 2, 0, 0, EKF), FKE: Monomial(0, 0, 2, 0, FKE)}
@@ -559,7 +601,11 @@ def test_a_wrong_memo_entry_is_caught_by_the_reduction_suite(d):
     entry = tuple((m, -u) for m, u in reduce_monomial(Context(d), quad).terms.items())
     ctx._straightened[a, b1, c, EKF] = entry
     checks = oracle._record(suites.suite_reduction(d, ctx, rep))
-    assert [c["id"] for c in checks if not c["pass"]] == ["orc-reduction-matches-raw-word-ekf"]
+    # An FKE straightening relabels the EKF memo entry of its mirror.
+    assert [c["id"] for c in checks if not c["pass"]] == [
+        "orc-reduction-matches-raw-word-ekf",
+        "orc-reduction-matches-raw-word-fke",
+    ]
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -937,7 +983,7 @@ MUTATION_MATRIX = {
     "multiply-files-by-n-right": (
         algebra,
         "multiply",
-        lambda h: _rewritten(h, "setdefault(n.left,", "setdefault(n.right,"),
+        lambda h: _rewritten(h, "setdefault(n.b1 + n.a,", "setdefault(n.b1 + n.c,"),
         {"relations", "oracle", "lusztig"},
     ),
     "merge-binomial-dropped-when-c-above-t": (
