@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 from itertools import takewhile
 
 from .laurent import LaurentPoly, _add_term, _Combination, gauss_binomial
@@ -72,27 +73,33 @@ class Context:
     """Fixed degree d with its idempotent index set.
 
     Immutable after construction apart from three memos: the canonical basis
-    per orientation; the canonical form of each monomial that
-    :func:`reduce_monomial` has met, keyed by ``(a, b1, c, orientation)``
-    and held as a tuple of ``(Monomial, LaurentPoly)`` pairs; and the EKF
+    per orientation; the canonical form of each EKF monomial that
+    :func:`reduce_monomial` has met, keyed by ``(a, b1, c)`` and held as a
+    tuple of ``(Monomial, LaurentPoly)`` pairs (an FKE reduction is its EKF
+    mirror's, relabelled, so it stores nothing of its own); and the EKF
     expansion of each K-binomial unit e^(a) [K1; b] f^(c) met, keyed by
     ``(a, b, c)``.  An expansion that raises stores nothing, and all three
     die with the context, so one ``verify`` run, whose suites share a
     context, fills each once.  A context is safe to share across threads: each
     memo entry is a pure function of the context and its key, so a duplicate
-    fill from two threads is harmless.
+    fill from two threads is harmless.  The idempotent pairs are built on
+    first read, so a context costs O(1) until something walks them.
     """
 
     def __init__(self, d: int):
         if d < 0:
             raise IndexOutOfRange(f"degree must be nonnegative, got {d}")
         self.d = d
-        self.idempotents = [(b1, d - b1) for b1 in range(d + 1)]
         self._basis: dict[str, tuple[Monomial, ...]] = {}
         self._straightened: dict[
-            tuple[int, int, int, str], tuple[tuple[Monomial, LaurentPoly], ...]
+            tuple[int, int, int], tuple[tuple[Monomial, LaurentPoly], ...]
         ] = {}
         self._kbinom_units: dict[tuple[int, int, int], Element] = {}
+
+    @cached_property
+    def idempotents(self) -> list[tuple[int, int]]:
+        """The pairs (b1, b2) with b1 + b2 = d, by b1 ascending."""
+        return [(b1, self.d - b1) for b1 in range(self.d + 1)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Context):
@@ -134,16 +141,11 @@ class Context:
         return list(basis)
 
     def _straighten(self, m: Monomial) -> Element:
-        """A non-canonical monomial of defect s, straightened in the canonical basis.
+        """A non-canonical EKF monomial of defect s, straightened in the canonical basis.
 
         It is the sum over k = s..min(a,c) of (-1)^(k-s) [k-1; s-1] [b1+k; k]
-        e^(a-k) K[b1+k,b2-k] f^(c-k).  FKE goes through the e<->f, K1<->K2
-        symmetry: it relabels the EKF reduction of its mirror, which
-        :func:`reduce_monomial` reads from this context's memo, so a mirror
-        already straightened is not straightened again.
+        e^(a-k) K[b1+k,b2-k] f^(c-k).
         """
-        if m.orientation == FKE:
-            return _relabel(reduce_monomial(self, (m.a, m.b2, m.b1, m.c), EKF), FKE)
         s = m.fake_degree - self.d
         terms: dict[Monomial, LaurentPoly] = {}
         for k in range(s, min(m.a, m.c) + 1):
@@ -325,21 +327,28 @@ def reduce_monomial(
 ) -> Element:
     """A monomial in the canonical basis: itself if canonical, else :meth:`Context._straighten`.
 
-    Each monomial is reduced once per context (see :class:`Context`); one
+    An FKE quadruple is validated as given, then reduced through the e<->f,
+    K1<->K2 symmetry: its reduction is that of its EKF mirror (a, b2, b1, c),
+    relabelled.  Each EKF monomial is reduced once per context, whose memo
+    holds EKF entries only, keyed ``(a, b1, c)`` (see :class:`Context`); one
     whose straightening raises is not stored.  A key is stored only after its
-    quadruple is validated, so a memo hit checks b2 = d - b1 alone.
+    quadruple is validated, so a memo hit checks b2 = d - b1 alone.  No step
+    walks the idempotents, which the context builds on first read, so a
+    reduction costs no O(d) state.
     """
     a, b1, b2, c = quad
-    key = (a, b1, c, orientation)
-    terms = ctx._straightened.get(key)
+    if orientation != EKF:
+        _checked_monomial(ctx, quad, orientation)
+        return _relabel(reduce_monomial(ctx, (a, b2, b1, c)), FKE)
+    terms = ctx._straightened.get((a, b1, c))
     if terms is None or b2 != ctx.d - b1:
-        mono = _checked_monomial(ctx, quad, orientation)
+        mono = _checked_monomial(ctx, quad, EKF)
         if ctx.is_canonical(mono):
             terms = ((mono, LaurentPoly.one()),)
         else:
             terms = tuple(ctx._straighten(mono).terms.items())
-        ctx._straightened[key] = terms
-    return Element._raw(ctx, orientation, dict(terms))
+        ctx._straightened[a, b1, c] = terms
+    return Element._raw(ctx, EKF, dict(terms))
 
 
 def _add_reduced(acc: dict, ctx: Context, orientation: str, quad, coeff: LaurentPoly) -> None:
@@ -401,7 +410,7 @@ def _add_monomial_product(
         if scalar is not one:
             coeff = coeff * scalar
         a3, b3, c3 = a + a2 - t, b1 - c + t, c + c2 - t
-        reduced = straightened.get((a3, b3, c3, EKF))
+        reduced = straightened.get((a3, b3, c3))
         if reduced is None:
             reduced = reduce_monomial(ctx, (a3, b3, ctx.d - b3, c3)).terms.items()
         for mono, r in reduced:

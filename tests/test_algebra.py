@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import re
+import textwrap
 from functools import cache
 from types import MappingProxyType
 
@@ -487,19 +488,20 @@ def fill_memo_through_reduce_monomial(ctx):
 def test_straightening_memo_holds_reduce_monomial(unstraightened):
     # Each entry is checked against a fresh context, since this one would read
     # the entry itself.  A straightening that raises must leave no entry: the
-    # fresh reduction would raise below.
+    # fresh reduction would raise below.  Every key is an EKF (a, b1, c), even
+    # after FKE reductions, which relabel their mirror's entry.
     fills = (fill_straightening_memo, fill_memo_through_kbinom, fill_memo_through_reduce_monomial)
     for fill in fills:
         for d in range(6):
             ctx = _UnstraightenedContext(d) if unstraightened else Context(d)
             memo = fill(ctx)
             assert memo
-            for (a, b1, c, orientation), entry in memo.items():
+            for key, entry in memo.items():
+                a, b1, c = key
                 assert isinstance(entry, tuple)
-                fresh = reduce_monomial(type(ctx)(d), (a, b1, d - b1, c), orientation)
+                assert all(m.orientation == EKF for m, _ in entry)
+                fresh = reduce_monomial(type(ctx)(d), (a, b1, d - b1, c))
                 assert dict(entry) == fresh.terms
-            both = fill is fill_memo_through_reduce_monomial
-            assert {key[3] for key in memo} == ({EKF, FKE} if both else {EKF})
 
 
 @pytest.mark.parametrize("orientation", [EKF, FKE])
@@ -524,8 +526,8 @@ def test_reduce_monomial_straightens_each_monomial_once_per_context(monkeypatch,
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_one_verify_run_straightens_each_monomial_once(monkeypatch, d):
-    # An FKE straightening reads the EKF memo entry of its mirror, so no
-    # EKF monomial is straightened again inside an FKE one.
+    # An FKE reduction relabels the EKF reduction of its mirror, so only EKF
+    # monomials are ever straightened.
     calls = collections.Counter()
     healthy = Context._straighten
 
@@ -535,7 +537,7 @@ def test_one_verify_run_straightens_each_monomial_once(monkeypatch, d):
 
     monkeypatch.setattr(Context, "_straighten", counted)
     assert suites.run_suites(list(suites.SUITES), d)["pass"]
-    assert {m.orientation for m in calls} == {EKF, FKE}
+    assert {m.orientation for m in calls} == {EKF}
     assert max(calls.values()) == 1
 
 
@@ -549,15 +551,17 @@ def test_an_element_from_reduce_monomial_does_not_alias_the_memo():
         ((1, 1, 1, 1), FKE),
         ((0, 1, 1, 1), FKE),
     ]:
-        a, b1, _, c = quad
+        a, b1, b2, c = quad
+        fke = orientation == FKE
+        key = (a, b2, c) if fke else (a, b1, c)  # an FKE row reads its mirror's entry
         first = reduce_monomial(ctx, quad, orientation)
         expected = dict(first.terms)
-        entry = ctx._straightened[a, b1, c, orientation]
+        entry = ctx._straightened[key]
         first.terms.clear()
         first.terms[planted[orientation]] = V(3)
         assert reduce_monomial(ctx, quad, orientation).terms == expected
-        assert ctx._straightened[a, b1, c, orientation] == entry
-        assert dict(entry) == expected
+        assert ctx._straightened[key] == entry
+        assert dict(entry) == ({m.swapped(): u for m, u in expected.items()} if fke else expected)
 
 
 def test_straightening_memo_is_per_context():
@@ -580,10 +584,9 @@ def test_a_wrong_memo_entry_is_caught_by_the_oracle():
     fill_straightening_memo(ctx)
     assert all(c["pass"] for c in oracle._record(suites.suite_oracle(2, ctx, rep)))
     key, ((mono, coeff), *rest) = next(iter(ctx._straightened.items()))
-    a, b1, c, orientation = key
-    assert orientation == EKF  # products straighten in EKF
+    a, b1, c = key
     ctx._straightened[key] = ((mono, -coeff), *rest)
-    fresh = reduce_monomial(Context(2), (a, b1, 2 - b1, c), orientation)
+    fresh = reduce_monomial(Context(2), (a, b1, 2 - b1, c))
     assert dict(ctx._straightened[key]) != fresh.terms
     checks = {c["id"]: c["pass"] for c in oracle._record(suites.suite_oracle(2, ctx, rep))}
     assert checks["orc-homomorphism"] is False
@@ -599,7 +602,7 @@ def test_a_wrong_memo_entry_is_caught_by_the_reduction_suite(d):
     )
     a, b1, _, c = quad
     entry = tuple((m, -u) for m, u in reduce_monomial(Context(d), quad).terms.items())
-    ctx._straightened[a, b1, c, EKF] = entry
+    ctx._straightened[a, b1, c] = entry
     checks = oracle._record(suites.suite_reduction(d, ctx, rep))
     # An FKE straightening relabels the EKF memo entry of its mirror.
     assert [c["id"] for c in checks if not c["pass"]] == [
@@ -657,7 +660,7 @@ def test_a_wrong_memo_entry_in_the_shared_context_fails_two_suites(monkeypatch, 
 
     def poisoned(d, fault):
         ctx = new_context(d, fault)
-        ctx._straightened[a, b1, c, EKF] = entry
+        ctx._straightened[a, b1, c] = entry
         return ctx
 
     monkeypatch.setattr(suites, "_new_context", poisoned)
@@ -926,8 +929,12 @@ def test_a_wrong_kbinom_unit_memo_entry_is_caught_by_the_closure_check(d):
 
 
 def _rewritten(function, old, new):
-    """``function`` compiled again from its source with the one ``old`` read as ``new``."""
-    source = inspect.getsource(function)
+    """``function`` compiled again from its source with the one ``old`` read as ``new``.
+
+    A method's source is dedented first; the copy is a plain function of its
+    module, to be set on the class in the original's place.
+    """
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old
     namespace = dict(vars(inspect.getmodule(function)))
     flags = __future__.annotations.compiler_flag
@@ -1038,6 +1045,85 @@ def test_dropping_the_merge_binomial_fails_the_divided_power_step(d, monkeypatch
     monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     want = [("f", m, side) for m in range(1, d) for side in ("right", "left")]
     assert _divided_power_step_failures(d) == want
+
+
+def _derived_reduction(ctx, quad):
+    """The reduction of a non-canonical EKF quadruple, derived from the relations.
+
+    e^(a) K[b1,b2] f^(c) is e^(a) f^(c) 1_n on the idempotent K[b1+c, b2-c] of
+    weight n = b1 - b2 + 2c, and U_v(gl_2)'s commutation formula (Lusztig,
+    *Introduction to Quantum Groups*, 3.1.9) makes that the sum over t of
+    [n + a - c; t] f^(c-t) K[d-l, l] e^(a-t) with l = b2 - a - c + t.  A term
+    with l < 0 has an out-of-range idempotent and vanishes; so does every term
+    when a > b2 or c > b2.  The FKE sum left is canonical, and
+    :func:`convert_orientation` straightens only monomials of lower height.
+    """
+    a, b1, b2, c = quad
+    d = ctx.d
+    terms = {}
+    for t in range(max(0, a + c - b2), min(a, c) + 1):
+        ell = b2 - a - c + t
+        terms[Monomial(c - t, d - ell, ell, a - t, FKE)] = gauss_binomial(b1 - b2 + a + c, t)
+    return convert_orientation(Element(ctx, FKE, terms), EKF)
+
+
+def _spanning_mismatches(d):
+    """The count of non-canonical EKF quadruples with a, c <= d + 1, and those
+    whose reduction differs from its derivation."""
+    ctx = Context(d)
+    quads = [
+        (a, b1, d - b1, c)
+        for a, b1, c in itertools.product(range(d + 2), range(d + 1), range(d + 2))
+        if a + c > d - b1
+    ]
+    return len(quads), [q for q in quads if reduce_monomial(ctx, q) != _derived_reduction(ctx, q)]
+
+
+def test_each_straightening_follows_from_the_commutation_formula():
+    # The spanning half of the presentation theorem: every non-canonical EKF
+    # monomial is a combination of canonical ones by the relations alone,
+    # given _fe_binomial's formula, which the lusztig suite checks.
+    counts = [3, 14, 38, 80, 145, 238, 364, 528, 735]
+    assert [_spanning_mismatches(d) for d in range(9)] == [(n, []) for n in counts]
+
+
+def test_a_straightening_sign_wrong_from_k_minus_s_2_fails_the_derivation(monkeypatch):
+    # (k - s) % 3 flips the sign of the terms with k - s >= 2, which first
+    # appear at d = 5; verify passes this mutant at every d <= 4.
+    mutant = _rewritten(Context._straighten, "(k - s) % 2", "(k - s) % 3")
+    monkeypatch.setattr(Context, "_straighten", mutant)
+    assert [len(_spanning_mismatches(d)[1]) for d in range(6)] == [0, 0, 0, 0, 0, 1]
+
+
+def _fke_basis_failures(d):
+    """The FKE basis words whose EKF expansion is not unitriangular by height.
+
+    Each f^(a) K[b1,b2] e^(c) must expand into terms of height at most a + c,
+    exactly one of them of height a + c and with coefficient 1, and no two
+    words may share that top term.  Then the FKE words are a basis whenever
+    the EKF words are.
+    """
+    ctx = Context(d)
+    failures, tops = [], set()
+    for m in ctx.monomials(FKE):
+        x = convert_orientation(Element(ctx, FKE, {m: ONE}), EKF)
+        top = [(n, u) for n, u in x.terms.items() if n.a + n.c >= m.a + m.c]
+        if [(n.a + n.c, u) for n, u in top] != [(m.a + m.c, ONE)] or top[0][0] in tops:
+            failures.append(m)
+        else:
+            tops.add(top[0][0])
+    return failures
+
+
+def test_the_fke_basis_is_unitriangular_over_the_ekf_basis():
+    for d in range(11):
+        assert _fke_basis_failures(d) == [], d
+
+
+def test_dropping_a2_from_the_fke_expansion_breaks_its_unitriangularity(monkeypatch):
+    owner, name, wrap, _ = MUTATION_MATRIX["fke-to-ekf-drops-a2"]
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    assert [len(_fke_basis_failures(d)) for d in (2, 3, 4)] == [1, 3, 6]
 
 
 def test_change_from_accepts_out_of_range():
@@ -1252,10 +1338,11 @@ def test_skip_reduction_raises_where_a_or_c_exceeds_d():
         }
     ]
     assert reduce_monomial(Context(0), (2, 0, 0, 1)).is_zero
+    # An FKE quadruple straightens as its EKF mirror, which the message names.
     fault = _UnstraightenedContext(0)
+    mirror = Monomial(2, 0, 0, 1, EKF)
     for orientation in (EKF, FKE):
-        mono = Monomial(2, 0, 0, 1, orientation)
-        with pytest.raises(IndexOutOfRange, match=re.escape(f"{mono} is not canonical")):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"{mirror} is not canonical")):
             reduce_monomial(fault, (2, 0, 0, 1), orientation)
 
 

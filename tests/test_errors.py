@@ -176,3 +176,32 @@ def test_a_closed_stdout_leaves_a_caller_of_main_its_stdout(monkeypatch):
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
     if open_fds is not None:
         assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_huge_degree_needs_no_memory_of_its_size():
+    # Reducing one canonical monomial needs O(1) state at any d: a context
+    # builds its idempotent pairs only when something walks them.  The child
+    # runs under a 512 MiB address-space cap, where a list of d + 1 pairs at
+    # d = 10^12 ends in MemoryError instead of the whole machine's memory.
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(qschur.__file__).resolve().parents[1])
+    d = 10**12
+    argv = ["reduce", "--d", str(d), "--monomial", f"1,2,{d - 2},3"]
+    run = subprocess.run(
+        [sys.executable, "-B", "-m", "qschur", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=capped,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [
+        f"result: e^(1) K[2,{d - 2}] f^(3)",
+        f"s: {6 - d}",
+        "k: none (already canonical)",
+    ]
