@@ -1,8 +1,9 @@
 """Command-line surface: multiply, reduce, basis, table, verify.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
-parse or guard errors, so CI can gate directly on theorem suites, and 141
-(128 + SIGPIPE), with nothing on stderr, when the reader closes stdout.
+parse or guard errors and on running out of memory, so CI can gate directly
+on theorem suites, and 141 (128 + SIGPIPE), with nothing on stderr, when the
+reader closes stdout.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ def _sink(out: str | None):
     return open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
 
 
-def _emit(text: str, out: str | None) -> None:
-    with _sink(out) as fh:
-        print(text, file=fh)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qschur",
@@ -128,19 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_multiply(args) -> int:
+def cmd_multiply(args) -> tuple[int, str]:
     ctx = Context(args.d)
     lhs = parse_element(_read_operand(args.lhs), ctx, args.orientation)
     rhs = parse_element(_read_operand(args.rhs), ctx, args.orientation)
     product = multiply(lhs, rhs)
     if args.format == "json":
-        _emit(element_json_text(product), args.out)
-    else:
-        _emit(format_element(product), args.out)
-    return 0
+        return 0, element_json_text(product)
+    return 0, format_element(product)
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[int, str]:
     ctx = Context(args.d)
     a, b1, b2, c = args.monomial
     s = reduction_defect(ctx, args.monomial, args.orientation)
@@ -153,19 +147,17 @@ def cmd_reduce(args) -> int:
             "k_min": k_min,
             "k_max": k_max,
         }
-        _emit(json.dumps(payload), args.out)
+        return 0, json.dumps(payload)
+    if s < 1:
+        k_line = "k: none (already canonical)"
+    elif k_max < k_min:
+        k_line = f"k: {k_min}..{k_max} (empty)"
     else:
-        if s < 1:
-            k_line = "k: none (already canonical)"
-        elif k_max < k_min:
-            k_line = f"k: {k_min}..{k_max} (empty)"
-        else:
-            k_line = f"k: {k_min}..{k_max}"
-        _emit(f"result: {format_element(reduced)}\ns: {s}\n{k_line}", args.out)
-    return 0
+        k_line = f"k: {k_min}..{k_max}"
+    return 0, f"result: {format_element(reduced)}\ns: {s}\n{k_line}"
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple[int, str]:
     ctx = Context(args.d)
     basis = ctx.monomials(args.orientation)
     if args.format == "json":
@@ -174,14 +166,9 @@ def cmd_basis(args) -> int:
             "orientation": args.orientation,
             "monomials": [{"a": m.a, "b1": m.b1, "b2": m.b2, "c": m.c} for m in basis],
         }
-        _emit(json.dumps(payload), args.out)
-    else:
-        lines = [
-            format_element(Element(ctx, args.orientation, {m: LaurentPoly.one()}))
-            for m in basis
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+        return 0, json.dumps(payload)
+    one = LaurentPoly.one()
+    return 0, "\n".join(format_element(Element(ctx, args.orientation, {m: one})) for m in basis)
 
 
 def _check_guard(args, guard: int, subject: str, warning: str) -> None:
@@ -193,7 +180,7 @@ def _check_guard(args, guard: int, subject: str, warning: str) -> None:
     print(f"warning: {warning}", file=sys.stderr)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, None]:
     warning = f"d={args.d} exceeds the table guard; this may take a while"
     _check_guard(args, TABLE_MAX_D, "structure-constant tables are", warning)
     ctx = Context(args.d)
@@ -245,30 +232,29 @@ def cmd_table(args) -> int:
                         held[(tj, ti)] = json_text(anti_involution(product))
                 row[j] = f"{middle}{text}}}\n"
             fh.write(head + head.join(row))
-    return 0
+    return 0, None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         guard = SUITE_GUARDS[name]
         warning = f"suite {name!r} at d={args.d} exceeds its guard {guard}"
         _check_guard(args, guard, f"suite {name!r} is", warning)
     report = run_suites(names, args.d, seed=args.seed, fault=args.inject_fault)
+    status = 0 if report["pass"] else 1
     if args.format == "json":
-        _emit(json.dumps(report), args.out)
-    else:
-        lines = []
-        for c in report["checks"]:
-            status = "PASS" if c["pass"] else "FAIL"
-            witness = f"  [{c['witness']}]" if not c["pass"] and "witness" in c else ""
-            lines.append(f"{status:4}  {c['id']}{witness}")
-        lines.append(
-            f"{'PASS' if report['pass'] else 'FAIL'}  overall "
-            f"({sum(c['pass'] for c in report['checks'])}/{len(report['checks'])} checks)"
-        )
-        _emit("\n".join(lines), args.out)
-    return 0 if report["pass"] else 1
+        return status, json.dumps(report)
+    lines = []
+    for c in report["checks"]:
+        verdict = "PASS" if c["pass"] else "FAIL"
+        witness = f"  [{c['witness']}]" if not c["pass"] and "witness" in c else ""
+        lines.append(f"{verdict:4}  {c['id']}{witness}")
+    lines.append(
+        f"{'PASS' if report['pass'] else 'FAIL'}  overall "
+        f"({sum(c['pass'] for c in report['checks'])}/{len(report['checks'])} checks)"
+    )
+    return status, "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,14 +264,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        status = args.run(args)
+        status, text = args.run(args)
+        if text is not None:  # table writes its own lines as it makes them
+            with _sink(args.out) as fh:
+                print(text, file=fh)
         sys.stdout.flush()  # so a closed pipe is met here, not at shutdown
         return status
     except BrokenPipeError:  # a closed stdout is not bad input
         return 141
+    except MemoryError:
+        pass  # reported below: this block's traceback keeps the memory it filled
     except (ValueError, OSError) as exc:  # parse, JSON and guard errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"error: out of memory at d={args.d}", file=sys.stderr)
+    return 2
 
 
 def entry_point() -> None:

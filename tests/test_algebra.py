@@ -6,11 +6,14 @@ import contextlib
 import inspect
 import itertools
 import json
+import math
 import random
 import re
 import textwrap
+from collections.abc import Callable
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -437,20 +440,6 @@ def test_multiply_matches_the_reference_product(pair):
         want = reference_multiply(lhs, rhs)
         assert product.orientation == want.orientation
         assert product.terms == want.terms
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_product_formula_sign_is_caught_by_the_suites(monkeypatch, d):
-    # Writing +weight where the commutation binomial has -weight must fail
-    # both the symbolic relations and the oracle homomorphism check.
-    for name in ("relations", "oracle"):
-        assert run_suite(name, d)["pass"]
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            algebra, "_fe_binomial", lambda c, a, weight, t: gauss_binomial(c - a + weight, t)
-        )
-        for name in ("relations", "oracle"):
-            assert not run_suite(name, d)["pass"], name
 
 
 def fill_straightening_memo(ctx):
@@ -942,38 +931,58 @@ def _rewritten(function, old, new):
     return namespace[function.__name__]
 
 
+class Mutant(NamedTuple):
+    """One engine function, the wrap that breaks it, the suites that must then
+    fail and the degrees at which each of them must."""
+
+    owner: object
+    name: str
+    wrap: Callable
+    failing: set
+    degrees: tuple = (2, 3, 4)
+
+
 # Each row wraps one engine function and names the suites that must then fail
-# at every d = 2..4.  The fe-binomial rows fail lusztig because its identity
-# e past f^(m) needs the divided-power commutation formula.  The last two
+# at each of its degrees.  The fe-binomial rows fail lusztig because its
+# identity e past f^(m) needs the divided-power commutation formula.  Two
 # rows break the product's shortcuts: filing the right operand by the wrong
-# idempotent, and dropping a merge binomial that is not 1.
+# idempotent, and dropping a merge binomial that is not 1.  The last row flips
+# the sign of the straightening terms with k - s >= 2, which first appear at
+# d = 5.
 MUTATION_MATRIX = {
-    "none": (algebra, "_fe_binomial", lambda h: h, set()),
-    "fe-binomial-top-plus-one-at-t1": (
+    "none": Mutant(algebra, "_fe_binomial", lambda h: h, set()),
+    "fe-binomial-top-plus-one-at-t1": Mutant(
         algebra,
         "_fe_binomial",
         lambda h: lambda c, a, weight, t: h(c + (t == 1), a, weight, t),
         {"relations", "oracle", "lusztig"},
     ),
-    "fe-binomial-times-v-at-t1": (
+    "fe-binomial-times-v-at-t1": Mutant(
         algebra,
         "_fe_binomial",
         lambda h: lambda c, a, weight, t: h(c, a, weight, t) * V(1 if t == 1 else 0),
         {"relations", "oracle", "lusztig"},
     ),
-    "straighten-negated-at-height-3": (
+    "fe-binomial-weight-sign": Mutant(
+        algebra,
+        "_fe_binomial",
+        lambda h: lambda c, a, weight, t: gauss_binomial(c - a + weight, t),
+        {"relations", "oracle", "lusztig"},
+        (1, 2, 3, 4),
+    ),
+    "straighten-negated-at-height-3": Mutant(
         Context,
         "_straighten",
         lambda h: lambda ctx, m: -h(ctx, m) if m.a + m.c >= 3 else h(ctx, m),
         {"reduction", "basis", "oracle", "lusztig"},
     ),
-    "kbinom-unit-times-v-at-b2": (
+    "kbinom-unit-times-v-at-b2": Mutant(
         algebra,
         "_kbinom_unit",
         lambda h: lambda ctx, a, b, c: h(ctx, a, b, c).scale(V(1 if b == 2 else 0)),
         {"basis"},
     ),
-    "fke-to-ekf-drops-a2": (
+    "fke-to-ekf-drops-a2": Mutant(
         algebra,
         "_fke_to_ekf",
         lambda h: lambda x: h(
@@ -981,40 +990,53 @@ MUTATION_MATRIX = {
         ),
         {"oracle"},
     ),
-    "kbinom-unit-off-diagonal-negated": (
+    "kbinom-unit-off-diagonal-negated": Mutant(
         algebra,
         "_kbinom_unit",
         _off_diagonal_negated,
         {"basis"},
     ),
-    "multiply-files-by-n-right": (
+    "multiply-files-by-n-right": Mutant(
         algebra,
         "multiply",
         lambda h: _rewritten(h, "setdefault(n.b1 + n.a,", "setdefault(n.b1 + n.c,"),
         {"relations", "oracle", "lusztig"},
     ),
-    "merge-binomial-dropped-when-c-above-t": (
+    "merge-binomial-dropped-when-c-above-t": Mutant(
         algebra,
         "_add_monomial_product",
         lambda h: _rewritten(h, "if c2 and c != t:", "if c2 and c != t and not c > t:"),
         {"oracle"},
     ),
+    "straighten-sign-from-k-minus-s-2": Mutant(
+        Context,
+        "_straighten",
+        lambda h: _rewritten(h, "(k - s) % 2", "(k - s) % 3"),
+        {"reduction", "basis", "oracle"},
+        (5,),
+    ),
 }
 
 
-@pytest.mark.parametrize("row", MUTATION_MATRIX)
-def test_the_mutation_matrix(monkeypatch, row):
-    owner, name, wrap, failing = MUTATION_MATRIX[row]
+def _break(monkeypatch, row):
+    """Patch in the broken function of ``MUTATION_MATRIX[row]``."""
+    owner, name, wrap, *_ = MUTATION_MATRIX[row]
     healthy = getattr(owner, name)
     wrapped = wrap(healthy)
     monkeypatch.setattr(owner, name, wrapped)
     if getattr(suites, name, None) is healthy:  # the suites' own binding
         monkeypatch.setattr(suites, name, wrapped)
-    for d in (2, 3, 4):
+
+
+@pytest.mark.parametrize("row", MUTATION_MATRIX)
+def test_the_mutation_matrix(monkeypatch, row):
+    mutant = MUTATION_MATRIX[row]
+    _break(monkeypatch, row)
+    for d in mutant.degrees:
         report = suites.run_suites(list(suites.SUITES), d)
         assert len(report["checks"]) == CHECK_COUNT
         failed = {c["id"].split("/")[0] for c in report["checks"] if not c["pass"]}
-        assert failed == failing, (d, failed)
+        assert failed == mutant.failing, (d, failed)
 
 
 def _divided_power_step_failures(d):
@@ -1041,8 +1063,7 @@ def test_a_divided_power_times_its_generator_is_the_next_one(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_dropping_the_merge_binomial_fails_the_divided_power_step(d, monkeypatch):
-    owner, name, wrap, _ = MUTATION_MATRIX["merge-binomial-dropped-when-c-above-t"]
-    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    _break(monkeypatch, "merge-binomial-dropped-when-c-above-t")
     want = [("f", m, side) for m in range(1, d) for side in ("right", "left")]
     assert _divided_power_step_failures(d) == want
 
@@ -1090,8 +1111,7 @@ def test_each_straightening_follows_from_the_commutation_formula():
 def test_a_straightening_sign_wrong_from_k_minus_s_2_fails_the_derivation(monkeypatch):
     # (k - s) % 3 flips the sign of the terms with k - s >= 2, which first
     # appear at d = 5; verify passes this mutant at every d <= 4.
-    mutant = _rewritten(Context._straighten, "(k - s) % 2", "(k - s) % 3")
-    monkeypatch.setattr(Context, "_straighten", mutant)
+    _break(monkeypatch, "straighten-sign-from-k-minus-s-2")
     assert [len(_spanning_mismatches(d)[1]) for d in range(6)] == [0, 0, 0, 0, 0, 1]
 
 
@@ -1121,9 +1141,84 @@ def test_the_fke_basis_is_unitriangular_over_the_ekf_basis():
 
 
 def test_dropping_a2_from_the_fke_expansion_breaks_its_unitriangularity(monkeypatch):
-    owner, name, wrap, _ = MUTATION_MATRIX["fke-to-ekf-drops-a2"]
-    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    _break(monkeypatch, "fke-to-ekf-drops-a2")
     assert [len(_fke_basis_failures(d)) for d in (2, 3, 4)] == [1, 3, 6]
+
+
+def _lusztig_candidates(ctx):
+    """The candidate basis "closely related to Lusztig's", in EKF form, by top term.
+
+    The candidates are e^(a) K[b1,b2] f^(c) with a + c <= b2 - b1 and
+    f^(a) K[b1,b2] e^(c) with a + c <= b1 - b2, which correspond to the basis
+    E^(a) 1_-n F^(c) and F^(a) 1_n E^(c), n >= a + c, that Lusztig gives the
+    modified algebra of sl_2 (*Introduction to Quantum Groups*, ch. 25).  Each
+    has one term of height a + c, with coefficient 1, and terms of lower height
+    only; the two lists meet where n = a + c, and no two other candidates
+    share a top term.
+    """
+    words = [
+        (m.a + m.c, Element(ctx, EKF, {m: ONE}))
+        for m in ctx.monomials(EKF)
+        if m.a + m.c <= m.b2 - m.b1
+    ]
+    words += [
+        (m.a + m.c, convert_orientation(Element(ctx, FKE, {m: ONE}), EKF))
+        for m in ctx.monomials(FKE)
+        if m.a + m.c <= m.b1 - m.b2
+    ]
+    by_top = {}
+    for height, x in words:
+        top = [(n, u) for n, u in x.terms.items() if n.a + n.c >= height]
+        assert [(n.a + n.c, u) for n, u in top] == [(height, ONE)], x
+        assert by_top.setdefault(top[0][0], x) == x, x
+    return by_top
+
+
+def _lusztig_coordinates(d):
+    """Each nonzero coordinate, in the candidate basis, of each product of two
+    candidates, found by peeling the product on its top terms."""
+    by_top = _lusztig_candidates(Context(d))
+    assert len(by_top) == math.comb(d + 3, 3)
+    coordinates = []
+    for x in by_top.values():
+        for y in by_top.values():
+            residual = multiply(x, y)
+            while not residual.is_zero:
+                top = max(residual.terms, key=lambda m: m.a + m.c)
+                coeff = residual.terms[top]
+                coordinates.append(coeff)
+                residual -= by_top[top].scale(coeff)
+    return coordinates
+
+
+def _lusztig_faults(d):
+    """The count of coordinates of products of candidates, of those not fixed
+    by v -> v^-1, and of those with a negative coefficient."""
+    coordinates = _lusztig_coordinates(d)
+    return (
+        len(coordinates),
+        sum(u.bar() != u for u in coordinates),
+        sum(any(c < 0 for _, c in u.items()) for u in coordinates),
+    )
+
+
+def test_the_lusztig_candidates_have_bar_invariant_positive_structure_constants():
+    # The paper's basis "closely related to Lusztig's", checked without the
+    # oracle: the candidates form a basis unitriangular over the EKF basis, and
+    # every structure constant in it is fixed by v -> v^-1 and lies in N[v, v^-1].
+    counts = [1, 8, 34, 106, 272, 610, 1238, 2326, 4109]
+    assert [_lusztig_faults(d) for d in range(9)] == [(n, 0, 0) for n in counts]
+
+
+def test_dropping_the_merge_binomial_makes_lusztig_coordinates_negative(monkeypatch):
+    # Every coordinate stays fixed by v -> v^-1; only positivity sees this mutant.
+    _break(monkeypatch, "merge-binomial-dropped-when-c-above-t")
+    assert [_lusztig_faults(d)[1:] for d in (3, 4, 6)] == [(0, 4), (0, 18), (0, 186)]
+
+
+def test_a_wrong_commutation_coefficient_breaks_lusztig_bar_invariance(monkeypatch):
+    _break(monkeypatch, "fe-binomial-times-v-at-t1")
+    assert [_lusztig_faults(d)[1] for d in (1, 2, 3, 4)] == [1, 6, 30, 105]
 
 
 def test_change_from_accepts_out_of_range():

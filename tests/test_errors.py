@@ -178,30 +178,43 @@ def test_a_closed_stdout_leaves_a_caller_of_main_its_stdout(monkeypatch):
         assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
-def test_a_huge_degree_needs_no_memory_of_its_size():
-    # Reducing one canonical monomial needs O(1) state at any d: a context
-    # builds its idempotent pairs only when something walks them.  The child
-    # runs under a 512 MiB address-space cap, where a list of d + 1 pairs at
-    # d = 10^12 ends in MemoryError instead of the whole machine's memory.
+def _run_capped(argv, cap_mib):
+    """``python -m qschur argv`` in a child under an address-space cap of ``cap_mib`` MiB."""
     resource = pytest.importorskip("resource")
-    cap = 512 * 2**20
+    cap = cap_mib * 2**20
 
     def capped():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = str(Path(qschur.__file__).resolve().parents[1])
-    d = 10**12
-    argv = ["reduce", "--d", str(d), "--monomial", f"1,2,{d - 2},3"]
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-B", "-m", "qschur", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         preexec_fn=capped,
     )
+
+
+def test_a_huge_degree_needs_no_memory_of_its_size():
+    # Reducing one canonical monomial needs O(1) state at any d: a context
+    # builds its idempotent pairs only when something walks them.  The child
+    # runs under a 512 MiB address-space cap, where a list of d + 1 pairs at
+    # d = 10^12 ends in MemoryError instead of the whole machine's memory.
+    d = 10**12
+    run = _run_capped(["reduce", "--d", str(d), "--monomial", f"1,2,{d - 2},3"], 512)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.splitlines() == [
         f"result: e^(1) K[2,{d - 2}] f^(3)",
         f"s: {6 - d}",
         "k: none (already canonical)",
     ]
+
+
+def test_running_out_of_memory_exits_2_with_one_error_line():
+    # basis walks all d + 1 idempotents.  Under the cap the walk ends in
+    # MemoryError, which is bad input like any other (exit 2, one line), not
+    # the interpreter's dump of an exception it could not print (exit 1).
+    run = _run_capped(["basis", "--d", str(10**11)], 128)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"error: out of memory at d={10**11}\n"
